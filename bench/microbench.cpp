@@ -10,8 +10,8 @@
 //     self-contained chrono timing of the inference paths, written as
 //     machine-readable JSON (BENCH_*.json style) so successive PRs can
 //     compare ns/inference. This mode needs only the standard library.
-//     --tiny restricts the run to the small-network entries — including
-//     small streaming and pipelined runs — plus radix encoding (seconds,
+//     --tiny restricts the run to the small-network entries — including a
+//     small pipelined run — plus radix encoding (seconds,
 //     not minutes — the CI bench-smoke tier). --compare reads a previous
 //     run's JSON, prints the per-entry speedup, and exits non-zero if any
 //     shared entry regressed by more than 10%.
@@ -32,7 +32,6 @@
 #include "encoding/radix.hpp"
 #include "engine/engine.hpp"
 #include "engine/pipeline.hpp"
-#include "engine/stream.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/conv_unit.hpp"
 #include "nn/activation.hpp"
@@ -90,7 +89,7 @@ struct BenchResult {
   std::string name;
   double ns_per_inference = 0.0;
   int samples = 0;
-  double images_per_sec = 0.0;  ///< emitted when > 0 (streaming entries)
+  double images_per_sec = 0.0;  ///< emitted when > 0 (pipeline entries)
 };
 
 // ------------------------------------------------------- host metadata
@@ -318,7 +317,7 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
   Rng rng(4);
 
   // The acceptance workload: LeNet-5 at T=8 on the paper's reference
-  // configuration, cycle-accurate and analytic. Skipped by --tiny.
+  // configuration, fast path and stepped. Skipped by --tiny.
   if (!tiny) {
     const auto qnet = make_lenet_qnet(8);
     hw::Accelerator accel(hw::lenet_reference_config(), qnet);
@@ -344,30 +343,6 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
                             (void)r;
                           }),
          std::max(1, samples / 4)});
-    results.push_back(
-        {"analytic_lenet_t8",
-         time_ns_per_call(samples,
-                          [&] {
-                            auto r =
-                                accel.run_codes(codes, hw::SimMode::kAnalytic);
-                            (void)r;
-                          }),
-         samples});
-
-    // The analytic engine's warm serving path: pre-allocated worker state,
-    // result storage reused across calls — what a ServingPool replica pays
-    // per inference once the pool is warm.
-    {
-      auto eng = engine::make_engine(engine::EngineKind::kAnalytic,
-                                     accel.program());
-      hw::AccelRunResult reused;
-      eng->run_codes_into(codes, reused);  // size every scratch buffer
-      results.push_back(
-          {"analytic_fastpath_lenet_t8",
-           time_ns_per_call(samples,
-                            [&] { eng->run_codes_into(codes, reused); }),
-           samples});
-    }
 
     // The single-state batched kernel: 32 distinct images through one
     // prepared-weight traversal per op (run_codes_batched_into), reported
@@ -406,16 +381,6 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
                          batch_samples});
     }
 
-    // Batched throughput across the thread pool.
-    std::vector<TensorI> batch(8, codes);
-    const double batch_ns = time_ns_per_call(std::max(1, samples / 4), [&] {
-      auto r = accel.run_batch_codes(batch, hw::SimMode::kCycleAccurate);
-      (void)r;
-    });
-    results.push_back({"cycle_accurate_lenet_t8_batch8",
-                       batch_ns / static_cast<double>(batch.size()),
-                       std::max(1, samples / 4)});
-
     // The other two engines over the same lowered program.
     const ir::LayerProgram& program = accel.program();
     for (const auto kind : {engine::EngineKind::kBehavioral,
@@ -429,24 +394,6 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
                               (void)r;
                             }),
            samples});
-    }
-
-    // Streaming throughput: a persistent worker pool with pre-allocated
-    // per-worker state, the serving-path metric (images/sec).
-    {
-      engine::StreamingExecutor stream(
-          program, engine::EngineKind::kCycleAccurate, /*num_workers=*/0);
-      std::vector<TensorI> stream_batch(
-          static_cast<std::size_t>(std::max(8, samples)), codes);
-      stream.run_stream(stream_batch);  // warm the pool
-      stream.run_stream(stream_batch);
-      const engine::StreamStats stats = stream.last_stats();
-      BenchResult r;
-      r.name = "stream_cycle_accurate_lenet_t8";
-      r.ns_per_inference = stats.ns_per_inference;
-      r.samples = static_cast<int>(stats.images);
-      r.images_per_sec = stats.images_per_sec;
-      results.push_back(r);
     }
 
     // Pipeline-parallel throughput: the program partitioned into 2 and 4
@@ -475,7 +422,7 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
   // Re-lowered 4-stage VGG-11 pipeline (the PR 4 metric): each stage is
   // re-compiled against its own device, so the early stages hold their
   // weights on chip instead of inheriting the monolithic DRAM-streaming
-  // plan. Analytic engine — the standard path at VGG scale.
+  // plan. Cycle-accurate engine — the fast path at VGG scale.
   if (!tiny) {
     Rng vrng(9);
     nn::Network vgg = nn::make_vgg11();
@@ -486,7 +433,7 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
     const auto segments = compiler::partition_balance_latency(
         program, 4, compiler::PartitionOptions{});
     engine::PipelineExecutor pipe(program, segments,
-                                  engine::EngineKind::kAnalytic);
+                                  engine::EngineKind::kCycleAccurate);
     const TensorF image = random_image(Shape{3, 32, 32}, vrng);
     const TensorI codes = quant::encode_activations(image, qnet.time_bits);
     std::vector<TensorI> batch(
@@ -530,9 +477,9 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
     }
   }
 
-  // The small network at T=4 (historic tracking point), plus small
-  // streaming and pipelined entries so --tiny exercises every execution
-  // path CI smoke-tests: single-shot, worker pool, and pipeline stages.
+  // The small network at T=4 (historic tracking point), plus a small
+  // pipelined entry so --tiny exercises both execution paths CI
+  // smoke-tests: single-shot and pipeline stages.
   {
     const auto qnet = make_qnet(4);
     hw::AcceleratorConfig cfg;
@@ -554,21 +501,6 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
          samples * 4});
 
     const ir::LayerProgram& program = accel.program();
-    {
-      engine::StreamingExecutor stream(
-          program, engine::EngineKind::kCycleAccurate, /*num_workers=*/2);
-      std::vector<TensorI> batch(
-          static_cast<std::size_t>(std::max(16, samples * 4)), codes);
-      stream.run_stream(batch);  // warm the pool
-      stream.run_stream(batch);
-      const engine::StreamStats stats = stream.last_stats();
-      BenchResult r;
-      r.name = "stream_cycle_accurate_small_t4";
-      r.ns_per_inference = stats.ns_per_inference;
-      r.samples = static_cast<int>(stats.images);
-      r.images_per_sec = stats.images_per_sec;
-      results.push_back(r);
-    }
     {
       const auto segments = compiler::partition_balance_latency(program, 2);
       engine::PipelineExecutor pipe(program, segments,
@@ -710,56 +642,6 @@ void BM_CycleAccurateLeNetT8(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CycleAccurateLeNetT8);
-
-void BM_RunBatchLeNetT8(benchmark::State& state) {
-  const auto qnet = make_lenet_qnet(8);
-  hw::Accelerator accel(hw::lenet_reference_config(), qnet);
-  Rng rng(8);
-  std::vector<TensorI> batch;
-  for (int i = 0; i < 8; ++i)
-    batch.push_back(
-        quant::encode_activations(random_image(Shape{1, 32, 32}, rng), 8));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        accel.run_batch_codes(batch, hw::SimMode::kCycleAccurate));
-  }
-  state.SetItemsProcessed(state.iterations() * 8);
-}
-BENCHMARK(BM_RunBatchLeNetT8);
-
-void BM_StreamLeNetT8(benchmark::State& state) {
-  const auto qnet = make_lenet_qnet(8);
-  const ir::LayerProgram program =
-      ir::lower(qnet, hw::lenet_reference_config());
-  engine::StreamingExecutor stream(program,
-                                   engine::EngineKind::kCycleAccurate, 0);
-  Rng rng(9);
-  std::vector<TensorI> batch;
-  for (int i = 0; i < 16; ++i)
-    batch.push_back(
-        quant::encode_activations(random_image(Shape{1, 32, 32}, rng), 8));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stream.run_stream(batch));
-  }
-  state.SetItemsProcessed(state.iterations() * 16);
-}
-BENCHMARK(BM_StreamLeNetT8);
-
-void BM_AnalyticAccelerator(benchmark::State& state) {
-  const auto qnet = make_qnet(4);
-  hw::AcceleratorConfig cfg;
-  cfg.num_conv_units = 2;
-  cfg.conv = hw::ConvUnitGeometry{16, 3, 24};
-  cfg.pool = hw::PoolUnitGeometry{8, 2, 16};
-  cfg.linear = hw::LinearUnitGeometry{8, 24};
-  hw::Accelerator accel(cfg, qnet);
-  Rng rng(5);
-  const TensorF image = random_image(Shape{1, 16, 16}, rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(accel.run_image(image, hw::SimMode::kAnalytic));
-  }
-}
-BENCHMARK(BM_AnalyticAccelerator);
 
 void BM_LatencyPrediction(benchmark::State& state) {
   Rng rng(6);

@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
     for (const auto& [stages, replicas] :
          std::vector<std::pair<int, int>>{{1, 1}, {2, 1}, {2, 2}})
       records.push_back(run_config(
-          vgg_program, engine::EngineKind::kAnalytic, "vgg11_t3", stages,
+          vgg_program, engine::EngineKind::kCycleAccurate, "vgg11_t3", stages,
           replicas, 8, engine::AdmissionPolicy::kFifo, vgg_codes,
           partition_options));
   }

@@ -5,16 +5,18 @@
 //   3. Convert it to a radix-encoded SNN (3-bit weights, T-bit activations).
 //   4. Compile the SNN onto an accelerator instance (-> ir::LayerProgram).
 //   5. Run one inference on every execution engine (they must agree
-//      bit-identically), stream a batch through the persistent worker pool,
-//      and print the hardware report.
+//      bit-identically), run the test set as one batch through the batched
+//      fast path (what a serving replica dispatches), and print the
+//      hardware report.
 //
 // Build & run:  ./build/examples/quickstart
+#include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "compiler/compile.hpp"
 #include "data/synth_digits.hpp"
 #include "engine/engine.hpp"
-#include "engine/stream.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/power_model.hpp"
 #include "hw/resource_model.hpp"
@@ -91,14 +93,21 @@ int main() {
   }
   std::printf("label: %d\n", parts.test.labels[0]);
 
-  // Streaming: a persistent worker pool with pre-allocated per-worker state
-  // reports serving throughput alongside the modeled hardware latency.
-  engine::StreamingExecutor stream(design.program,
-                                   engine::EngineKind::kCycleAccurate, 0);
-  stream.run_stream_images(parts.test.images);
-  std::printf("streamed %lld images -> %.1f images/sec on %d worker(s)\n",
-              static_cast<long long>(stream.last_stats().images),
-              stream.last_stats().images_per_sec, stream.last_stats().workers);
+  // Batched: one engine runs the whole test set through one prepared-weight
+  // traversal per op — the call a serving replica makes per dispatch — and
+  // reports simulator throughput alongside the modeled hardware latency.
+  std::vector<TensorI> codes;
+  for (const auto& test_image : parts.test.images)
+    codes.push_back(quant::encode_activations(test_image, T));
+  std::vector<hw::AccelRunResult> results(codes.size());
+  auto batched = engine::make_engine(engine::EngineKind::kCycleAccurate,
+                                     design.program);
+  const auto begin = std::chrono::steady_clock::now();
+  batched->run_codes_batched_into(codes.data(), codes.size(), results.data());
+  const std::chrono::duration<double> wall =
+      std::chrono::steady_clock::now() - begin;
+  std::printf("batched %zu images -> %.1f images/sec on one thread\n",
+              codes.size(), static_cast<double>(codes.size()) / wall.count());
 
   std::printf("\nlatency: %.1f us (%lld cycles @ %.0f MHz)\n", run.latency_us,
               static_cast<long long>(run.total_cycles),

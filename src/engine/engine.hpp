@@ -1,17 +1,15 @@
 // Engine: uniform execution interface over a lowered ir::LayerProgram.
 //
-// Five engines run the same program and must agree bit-identically on LeNet
+// Four engines run the same program and must agree bit-identically on LeNet
 // (logits, cycles, adder ops, traffic — enforced by
 // tests/test_equivalence_packed.cpp):
 //   * cycle_accurate — the simulator's default exact mode: the code-domain
-//     fast path (hw::Accelerator, SimMode::kCycleAccurate) when the config
-//     enables it, the stepped dataflow otherwise. Exact timing either way.
-//   * stepped        — always the golden stepped dataflow on the bit-true
-//     unit simulators (SimMode::kStepped). The anchor the fast path is
-//     pinned against.
-//   * analytic       — exact code-domain arithmetic + the program's
-//     precomputed latency annotations (hw::Accelerator, SimMode::kAnalytic;
-//     runs the fast-path kernels when the config enables them).
+//     fast path (hw::Accelerator, SimMode::kCycleAccurate). "analytic" is
+//     accepted as an alias: the fast path's annotation-derived accounting
+//     is the analytic model.
+//   * stepped        — the golden stepped dataflow on the bit-true unit
+//     simulators (SimMode::kStepped). The anchor the fast path is pinned
+//     against.
 //   * behavioral     — the functional radix-SNN simulator (snn::RadixSnn):
 //     event-driven spikes, no dataflow stepping; timing and traffic come
 //     from the program annotations.
@@ -20,7 +18,7 @@
 //
 // Engines are not thread-safe: each one owns pre-allocated execution state
 // (the cycle-accurate engine owns an Accelerator::WorkerState), so create
-// one per worker thread — that is exactly what the StreamingExecutor does.
+// one per thread — a serving replica owns one, a pipeline one per stage.
 //
 // Segment scope: an engine executes one ir::ProgramSegment — by default the
 // whole program, but make_engine(kind, program, segment) builds a stage
@@ -43,23 +41,18 @@
 
 namespace rsnn::engine {
 
-enum class EngineKind {
-  kCycleAccurate,
-  kStepped,
-  kAnalytic,
-  kBehavioral,
-  kReference
-};
+enum class EngineKind { kCycleAccurate, kStepped, kBehavioral, kReference };
 
-/// Canonical engine name: "cycle_accurate" / "stepped" / "analytic" /
-/// "behavioral" / "reference".
+/// Canonical engine name: "cycle_accurate" / "stepped" / "behavioral" /
+/// "reference".
 const char* engine_name(EngineKind kind);
 
-/// Parse an engine name (the canonical names plus the shorthand "cycle");
-/// throws ContractViolation on unknown names.
+/// Parse an engine name (the canonical names plus the aliases "cycle" and
+/// "analytic", both kCycleAccurate); throws ContractViolation on unknown
+/// names.
 EngineKind parse_engine(const std::string& name);
 
-/// All five engine kinds, for parameterized tests and sweeps.
+/// All four engine kinds, for parameterized tests and sweeps.
 std::vector<EngineKind> all_engines();
 
 /// What one segment-scoped run produces: the executed ops' stats, and the
@@ -89,15 +82,15 @@ class Engine {
   /// engines only (a stage engine cannot produce logits on its own).
   hw::AccelRunResult run_codes(const TensorI& codes);
 
-  /// As run_codes(), reusing `out`'s storage. The accelerator-backed
-  /// engines forward to the zero-allocation fast path when it is enabled;
-  /// the default delegates to run_codes().
+  /// As run_codes(), reusing `out`'s storage. The cycle-accurate engine
+  /// forwards to the zero-allocation fast path; the default delegates to
+  /// run_codes().
   virtual void run_codes_into(const TensorI& codes, hw::AccelRunResult& out);
 
   /// Run `count` images through the engine, reusing the results' storage.
-  /// The accelerator-backed engines forward to the batched fast path (one
-  /// prepared-weight traversal for the whole batch) when it is enabled;
-  /// the default loops run_codes_into(). Results are bit-identical to the
+  /// The cycle-accurate engine forwards to the batched fast path (one
+  /// prepared-weight traversal for the whole batch); the default loops
+  /// run_codes_into(). Results are bit-identical to the
   /// sequential loop either way.
   virtual void run_codes_batched_into(const TensorI* codes, std::size_t count,
                                       hw::AccelRunResult* results);

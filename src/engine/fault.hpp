@@ -5,8 +5,8 @@
 // reproducible test. A FaultPlan describes *when* faults fire — on a
 // replica's Nth execution attempt, or per-attempt with a seeded
 // probability — and a FaultInjector arms the plan across the fleet: each
-// replica's executors (StreamingExecutor / PipelineExecutor, threaded
-// through make_submitter) consult the injector before running an image.
+// replica (a monolithic engine or a PipelineExecutor, built by
+// make_submitter) consults the injector before running an image.
 //
 // Three injectable faults:
 //   * kError — the attempt throws ReplicaFaultError (a transient failure:

@@ -89,7 +89,6 @@ class PipelineExecutor : public Submitter {
       const std::vector<TensorI>& codes) override {
     return run_pipeline(codes);
   }
-  int lanes() const override { return stages(); }
   std::string shape() const override {
     return "pipeline(" + std::to_string(stages()) + ")";
   }

@@ -97,9 +97,6 @@ ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
   RSNN_REQUIRE(options_.replicas >= 1,
                "serving pool needs at least one replica, got "
                    << options_.replicas);
-  RSNN_REQUIRE(options_.workers_per_replica >= 1,
-               "workers_per_replica must be >= 1, got "
-                   << options_.workers_per_replica);
   RSNN_REQUIRE(
       options_.queue_capacity >= 1 ||
           options_.policy == AdmissionPolicy::kReject,
@@ -140,8 +137,8 @@ ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
 
   // Replicas are constructed here (not on the dispatcher threads) so an
   // invalid configuration — e.g. segments that do not cover the program —
-  // fails the constructor instead of failing every future request. The
-  // executors still build their engines on their own worker threads.
+  // fails the constructor instead of failing every future request. Pipeline
+  // stages still build their engines on their own stage threads.
   const std::size_t n = static_cast<std::size_t>(options_.replicas);
   stats_.per_replica.assign(n, 0);
   health_.assign(n, ReplicaHealth::kHealthy);
@@ -150,7 +147,6 @@ ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
   replicas_.reserve(n);
   for (int r = 0; r < options_.replicas; ++r)
     replicas_.push_back(make_submitter(program_, kind_, options_.segments,
-                                       options_.workers_per_replica,
                                        options_.stage_queue_capacity,
                                        injector_.get(), r));
 
@@ -388,21 +384,6 @@ std::future<ServingResult> ServingPool::submit(TensorI codes,
   return submit(std::move(typed));
 }
 
-bool ServingPool::try_submit(TensorI codes,
-                             std::future<ServingResult>* ticket,
-                             const RequestOptions& request) {
-  RSNN_REQUIRE(ticket != nullptr, "try_submit needs a ticket out-param");
-  Request typed;
-  typed.codes = std::move(codes);
-  typed.options = request;
-  typed.options.admission = AdmissionMode::kNonBlocking;
-  bool admitted = false;
-  std::future<ServingResult> attempt = submit(std::move(typed), &admitted);
-  if (!admitted) return false;
-  *ticket = std::move(attempt);
-  return true;
-}
-
 std::vector<ServingPool::Queued> ServingPool::acquire_work(
     std::size_t replica_index) {
   std::unique_lock<std::mutex> lock(mutex_);
@@ -573,7 +554,6 @@ bool ServingPool::handle_quarantine(std::size_t replica_index) {
   std::unique_ptr<Submitter> rebuilt;
   try {
     rebuilt = make_submitter(program_, kind_, options_.segments,
-                             options_.workers_per_replica,
                              options_.stage_queue_capacity, injector_.get(),
                              static_cast<int>(replica_index));
   } catch (...) {

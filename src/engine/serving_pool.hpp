@@ -11,9 +11,12 @@
 //                      (EDF within priority class)    --> replica 1
 //                                                     --> ...
 //
-// Every replica is a Submitter (engine-agnostic: StreamingExecutor or
-// PipelineExecutor), owned by one dispatcher thread that pulls work from the
-// queue per the admission policy:
+// Every replica is a Submitter (engine-agnostic: a monolithic engine or a
+// PipelineExecutor), owned by one dispatcher thread. A monolithic replica
+// runs its engine inline on that thread, so it costs exactly one thread; a
+// pipelined one adds a thread per stage; within a dispatch the batched fast
+// path may split images across common::TaskPool slices (fast_path.threads).
+// Dispatchers pull work from the queue per the admission policy:
 //   * kFifo   — dispatch requests one at a time; a full queue blocks the
 //     producer (backpressure by blocking).
 //   * kBatch  — accumulate up to max_batch requests before dispatching, but
@@ -127,8 +130,7 @@ enum class AdmissionMode {
   /// to admit latency-class work. The submit() default.
   kBlocking,
   /// Never block and never evict: a full queue (or a closed pool) resolves
-  /// the request immediately with kRejected — the polite probe try_submit()
-  /// is built on.
+  /// the request immediately with kRejected — the polite probe.
   kNonBlocking,
 };
 
@@ -147,9 +149,9 @@ struct RequestOptions {
 /// The unified typed serving request: every admission path — in-process
 /// callers, the CLI --serve loop, and the rsnn_serve wire protocol — builds
 /// one of these and hands it to ServingPool::submit(Request) (directly, or
-/// routed by model_id through a serve::ModelRegistry). The legacy
-/// submit(codes)/try_submit/run_batch entry points are thin wrappers that
-/// construct a Request internally.
+/// routed by model_id through a serve::ModelRegistry). submit(codes) and
+/// run_batch remain as test and bench conveniences; both build a Request
+/// internally.
 struct Request {
   /// Routing key. Empty targets whichever pool receives the request; a
   /// non-empty id must match the pool's configured model_id or the request
@@ -188,9 +190,6 @@ struct ServingPoolOptions {
   /// Replica shape: a K-stage pipeline over these segments when non-empty
   /// (must cover the whole program), a monolithic engine otherwise.
   std::vector<ir::ProgramSegment> segments;
-  /// Streaming workers per monolithic replica (ignored for pipelined
-  /// replicas, whose lanes are their stages).
-  int workers_per_replica = 1;
   /// Inter-stage queue depth inside each pipelined replica.
   std::size_t stage_queue_capacity = 4;
 
@@ -292,9 +291,9 @@ class ServingPool {
   ServingPool(const ServingPool&) = delete;
   ServingPool& operator=(const ServingPool&) = delete;
 
-  /// The single typed admission path — every other entry point (the legacy
-  /// wrappers below, the CLI --serve loop, the rsnn_serve wire protocol via
-  /// serve::ModelRegistry) funnels through here. Always returns a valid
+  /// The single typed admission path — every other entry point (the
+  /// conveniences below, the CLI --serve loop, the rsnn_serve wire protocol
+  /// via serve::ModelRegistry) funnels through here. Always returns a valid
   /// future resolving with exactly one typed RequestStatus: a mismatched
   /// model_id, a closed pool, or a full queue under kNonBlocking /
   /// kReject resolve immediately with kRejected. Under kBlocking a full
@@ -305,22 +304,15 @@ class ServingPool {
   std::future<ServingResult> submit(Request request,
                                     bool* admitted = nullptr);
 
-  /// Thin wrapper over submit(Request): admit one request of pre-encoded
-  /// activation codes with no routing key, honoring
+  /// Test and bench convenience over submit(Request): admit one request of
+  /// pre-encoded activation codes with no routing key, honoring
   /// `request.admission` (kBlocking by default).
   std::future<ServingResult> submit(TensorI codes,
                                     const RequestOptions& request = {});
 
-  /// Thin wrapper over submit(Request) with admission forced to
-  /// kNonBlocking: returns false (and leaves `ticket` untouched) when the
-  /// queue is full or the pool is shutting down. No bulk eviction — this is
-  /// the polite probe.
-  bool try_submit(TensorI codes, std::future<ServingResult>* ticket,
-                  const RequestOptions& request = {});
-
-  /// Convenience wrapper over submit(Request): submit the whole batch (per
-  /// the pool's policy), wait for every request, and return results
-  /// index-aligned with `codes`.
+  /// Test and bench convenience over submit(Request): submit the whole
+  /// batch (per the pool's policy), wait for every request, and return
+  /// results index-aligned with `codes`.
   struct BatchRun {
     std::vector<ServingResult> results;
     /// Requests resolved kOk.

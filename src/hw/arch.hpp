@@ -77,7 +77,6 @@ enum class LayoutPolicy {
 /// change logits, cycles, adder ops or traffic — the equivalence suite sweeps
 /// every combination against the stepped dataflow.
 struct FastPathOptions {
-  bool enable = true;          ///< fall back to the stepped dataflow when false
   LayoutPolicy layout = LayoutPolicy::kAuto;
   bool fuse_conv_pool = true;  ///< run conv+pool pairs as one fused pass
   /// Host threads for the batched kernels: the batch splits into contiguous

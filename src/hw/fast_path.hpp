@@ -62,7 +62,7 @@ struct FastPrepared {
 FastPrepared prepare_fast_path(const ir::LayerProgram& program);
 
 /// Process-wide keyed cache over prepare_fast_path(): every Accelerator —
-/// and therefore every ServingPool replica and streaming worker — executing
+/// and therefore every ServingPool replica and pipeline stage — executing
 /// the same lowered program receives one shared immutable pack instead of
 /// building a private copy (replicas of a VGG-scale model would otherwise
 /// each hold megabytes of identical repacked weights and pay the repack on

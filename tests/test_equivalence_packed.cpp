@@ -18,7 +18,7 @@
 #include "compiler/compile.hpp"
 #include "encoding/radix.hpp"
 #include "engine/engine.hpp"
-#include "engine/stream.hpp"
+#include "engine/submitter.hpp"
 #include "hw/accelerator.hpp"
 #include "nn/zoo.hpp"
 #include "quant/quantize.hpp"
@@ -169,16 +169,12 @@ TEST_P(EngineEquivalence, LeNetBitIdenticalToCycleAccurate) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, EngineEquivalence,
-    ::testing::Values(engine::EngineKind::kCycleAccurate,
-                      engine::EngineKind::kStepped,
-                      engine::EngineKind::kAnalytic,
-                      engine::EngineKind::kBehavioral,
-                      engine::EngineKind::kReference),
+    ::testing::ValuesIn(engine::all_engines()),
     [](const ::testing::TestParamInfo<engine::EngineKind>& info) {
       return std::string(engine::engine_name(info.param));
     });
 
-// ------------------------------------------------------ batch and streaming
+// ------------------------------------------------ batch and serving replica
 
 TEST(PackedEquivalence, BatchMatchesSequentialRuns) {
   Rng rng(7);
@@ -196,28 +192,35 @@ TEST(PackedEquivalence, BatchMatchesSequentialRuns) {
   for (int i = 0; i < 6; ++i)
     images.push_back(rsnn::testing::random_image(Shape{1, 10, 10}, rng));
 
-  const auto batch = accel.run_batch(images, SimMode::kCycleAccurate,
-                                     /*num_threads=*/3);
-  ASSERT_EQ(batch.size(), images.size());
-  for (std::size_t i = 0; i < images.size(); ++i) {
-    const AccelRunResult ref = accel.run_image(images[i]);
-    EXPECT_EQ(batch[i].logits, ref.logits) << "image " << i;
-    EXPECT_EQ(batch[i].total_cycles, ref.total_cycles);
-    EXPECT_EQ(batch[i].total_adder_ops, ref.total_adder_ops);
-    EXPECT_EQ(batch[i].traffic_total.act_read_bits,
-              ref.traffic_total.act_read_bits);
-  }
+  std::vector<TensorI> codes;
+  for (const TensorF& image : images)
+    codes.push_back(quant::encode_activations(image, qnet.time_bits));
 
-  // Single-threaded and analytic-mode batches take the same paths.
-  const auto serial = accel.run_batch(images, SimMode::kCycleAccurate, 1);
-  for (std::size_t i = 0; i < images.size(); ++i)
-    EXPECT_EQ(serial[i].logits, batch[i].logits);
+  // The sequential batched kernel and the 3-slice intra-op parallel one.
+  for (const int threads : {1, 3}) {
+    SCOPED_TRACE("fast_path.threads=" + std::to_string(threads));
+    AcceleratorConfig batched_cfg = cfg;
+    batched_cfg.fast_path.threads = threads;
+    const ir::LayerProgram program = ir::lower(qnet, batched_cfg);
+    auto engine =
+        engine::make_engine(engine::EngineKind::kCycleAccurate, program);
+    std::vector<AccelRunResult> batch(codes.size());
+    engine->run_codes_batched_into(codes.data(), codes.size(), batch.data());
+    for (std::size_t i = 0; i < images.size(); ++i) {
+      const AccelRunResult ref = accel.run_image(images[i]);
+      EXPECT_EQ(batch[i].logits, ref.logits) << "image " << i;
+      EXPECT_EQ(batch[i].total_cycles, ref.total_cycles);
+      EXPECT_EQ(batch[i].total_adder_ops, ref.total_adder_ops);
+      EXPECT_EQ(batch[i].traffic_total.act_read_bits,
+                ref.traffic_total.act_read_bits);
+    }
+  }
 }
 
-TEST(PackedEquivalence, StreamingMatchesSequentialRuns) {
-  // The persistent worker pool (pre-allocated per-worker state, reused
-  // across inferences) must be bit-identical to one-shot execution, and a
-  // second batch through the same warm pool must agree with the first.
+TEST(PackedEquivalence, MonolithicReplicaMatchesSequentialRuns) {
+  // A monolithic serving replica (one engine, state reused across
+  // dispatches) must be bit-identical to one-shot execution, and a second
+  // dispatch through the same warm replica must agree with the first.
   Rng rng(11);
   nn::Network net = rsnn::testing::small_random_net(rng);
   const quant::QuantizedNetwork qnet =
@@ -235,13 +238,13 @@ TEST(PackedEquivalence, StreamingMatchesSequentialRuns) {
     codes.push_back(quant::encode_activations(
         rsnn::testing::random_image(Shape{1, 10, 10}, rng), 4));
 
-  engine::StreamingExecutor stream(program, engine::EngineKind::kCycleAccurate,
-                                   /*num_workers=*/2);
-  const auto first = stream.run_stream(codes);
-  const auto second = stream.run_stream(codes);  // warm pool, reused state
+  auto replica = engine::make_submitter(
+      program, engine::EngineKind::kCycleAccurate, /*segments=*/{});
+  const auto first = replica->submit(codes);
+  const auto second = replica->submit(codes);  // warm engine, reused state
   ASSERT_EQ(first.size(), codes.size());
-  EXPECT_EQ(stream.last_stats().images, static_cast<std::int64_t>(codes.size()));
-  EXPECT_GT(stream.last_stats().images_per_sec, 0.0);
+  ASSERT_EQ(second.size(), codes.size());
+  EXPECT_TRUE(replica->submit({}).empty());
 
   for (std::size_t i = 0; i < codes.size(); ++i) {
     const AccelRunResult ref = accel.run_codes(codes[i]);
@@ -254,37 +257,6 @@ TEST(PackedEquivalence, StreamingMatchesSequentialRuns) {
     EXPECT_EQ(second[i].traffic_total.act_read_bits,
               ref.traffic_total.act_read_bits);
   }
-}
-
-TEST(PackedEquivalence, StreamingEmptyBatchResetsStats) {
-  // An empty batch must return a zeroed stats record, not the previous
-  // batch's throughput (regression: early return before the stats reset).
-  Rng rng(13);
-  nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(net, quant::QuantizeConfig{3, 4});
-  AcceleratorConfig cfg;
-  cfg.num_conv_units = 1;
-  cfg.conv = ConvUnitGeometry{12, 5, 24};
-  cfg.pool = PoolUnitGeometry{8, 2, 16};
-  cfg.linear = LinearUnitGeometry{4, 24};
-  const ir::LayerProgram program = ir::lower(qnet, cfg);
-
-  engine::StreamingExecutor stream(program, engine::EngineKind::kReference,
-                                   /*num_workers=*/2);
-  std::vector<TensorI> codes{quant::encode_activations(
-      rsnn::testing::random_image(Shape{1, 10, 10}, rng), 4)};
-  stream.run_stream(codes);
-  ASSERT_EQ(stream.last_stats().images, 1);
-  ASSERT_GT(stream.last_stats().images_per_sec, 0.0);
-
-  const auto empty = stream.run_stream({});
-  EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(stream.last_stats().images, 0);
-  EXPECT_EQ(stream.last_stats().wall_ms, 0.0);
-  EXPECT_EQ(stream.last_stats().images_per_sec, 0.0);
-  EXPECT_EQ(stream.last_stats().ns_per_inference, 0.0);
-  EXPECT_EQ(stream.last_stats().workers, 2);
 }
 
 // --------------------------------------------- engine parsing and sweeps

@@ -5,8 +5,9 @@
 // changes how the simulator iterates, never what it counts.
 //
 // Also covered here: the Arena bump allocator, the zero-allocation warm
-// streaming property, and segment-scoped fast-path execution (a fused
-// conv+pool pair split by a pipeline cut).
+// batched property, segment-scoped fast-path execution (a fused conv+pool
+// pair split by a pipeline cut), and the accumulator bound (max codes
+// against all-positive and all-negative weights).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,8 +25,8 @@
 #include "common/simd.hpp"
 #include "engine/engine.hpp"
 #include "engine/serving_pool.hpp"
-#include "engine/stream.hpp"
 #include "hw/accelerator.hpp"
+#include "hw/accumulator_sizing.hpp"
 #include "hw/fast_path.hpp"
 #include "ir/layer_program.hpp"
 #include "nn/zoo.hpp"
@@ -160,23 +161,6 @@ TEST(FastPath, LeNetAllPlanVariantsBitIdenticalToStepped) {
   }
 }
 
-TEST(FastPath, DisabledFallsBackToStepped) {
-  Rng rng(712);
-  nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(net, quant::QuantizeConfig{3, 4});
-  AcceleratorConfig cfg;
-  cfg.conv = ConvUnitGeometry{16, 3, 24};
-  cfg.pool = PoolUnitGeometry{8, 2, 16};
-  cfg.linear = LinearUnitGeometry{8, 24};
-  cfg.fast_path.enable = false;
-  const Accelerator accel(cfg, qnet);
-  const TensorI codes = quant::encode_activations(
-      random_image(qnet.input_shape, rng), qnet.time_bits);
-  expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate),
-                       accel.run_codes(codes, SimMode::kStepped));
-}
-
 // --------------------------------- geometry sweep: stride, padding, tiling
 
 TEST(FastPath, StridePaddingTilingGeometriesMatchStepped) {
@@ -284,7 +268,7 @@ TEST(FastPath, SegmentCutBetweenFusedConvPoolMatchesWholeProgram) {
 
 // ------------------------------------------------- zero-allocation warmth
 
-TEST(FastPath, WarmStreamingInferenceAllocatesNothing) {
+TEST(FastPath, WarmEngineDispatchAllocatesNothing) {
 #ifdef RSNN_SANITIZERS_ACTIVE
   GTEST_SKIP() << "allocation counting is not meaningful under sanitizers";
 #else
@@ -298,26 +282,31 @@ TEST(FastPath, WarmStreamingInferenceAllocatesNothing) {
   cfg.linear = LinearUnitGeometry{8, 24};
   const ir::LayerProgram program = ir::lower(qnet, cfg);
 
-  engine::StreamingExecutor stream(program, engine::EngineKind::kCycleAccurate,
-                                   /*num_workers=*/1);
+  // The call a monolithic serving replica makes per dispatch.
+  auto engine =
+      engine::make_engine(engine::EngineKind::kCycleAccurate, program);
   std::vector<TensorI> batch(
       4, quant::encode_activations(random_image(qnet.input_shape, rng),
                                    qnet.time_bits));
-  std::vector<AccelRunResult> results;
+  std::vector<AccelRunResult> results(batch.size());
+  const auto run = [&] {
+    engine->run_codes_batched_into(batch.data(), batch.size(),
+                                   results.data());
+  };
   // Two warm batches: the first builds the prepared weights and sizes every
   // scratch buffer; the second consolidates the arena's primary chunk.
-  stream.run_stream_into(batch, results);
-  stream.run_stream_into(batch, results);
+  run();
+  run();
   const AccelRunResult warm = results.at(0);
 
   const std::uint64_t before = common::allocation_count();
   // Guard against a vacuous pass: the setup above allocates plenty, so a
   // zero counter means the counting hook did not link into this binary.
   ASSERT_GT(before, 0u) << "allocation hook not linked";
-  stream.run_stream_into(batch, results);
+  run();
   const std::uint64_t after = common::allocation_count();
   EXPECT_EQ(after - before, 0u)
-      << "warm fast-path streaming inference must not touch the heap";
+      << "warm fast-path batched inference must not touch the heap";
   expect_bit_identical(results.at(0), warm);
 #endif
 }
@@ -436,17 +425,6 @@ TEST(FastPathBatched, LeNetAllPlanVariantsMatchSequential) {
     expect_batched_matches_sequential(accel, codes, {1, 3, 8},
                                       SimMode::kCycleAccurate);
   }
-}
-
-TEST(FastPathBatched, LeNetAnalyticModeMatchesSequential) {
-  Rng rng(813);
-  nn::Network lenet = nn::make_lenet5();
-  lenet.init_params(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(lenet, quant::QuantizeConfig{3, 4});
-  const std::vector<TensorI> codes = random_code_batch(qnet, 3, rng);
-  const Accelerator accel(lenet_reference_config(), qnet);
-  expect_batched_matches_sequential(accel, codes, {1, 3}, SimMode::kAnalytic);
 }
 
 TEST(FastPathBatched, Vgg11MatchesSequential) {
@@ -745,7 +723,6 @@ TEST(FastPathShared, ServingReplicasReuseTheSharedPack) {
 
   engine::ServingPoolOptions opts;
   opts.replicas = 2;
-  opts.workers_per_replica = 1;
   {
     engine::ServingPool pool(program, engine::EngineKind::kCycleAccurate,
                              opts);
@@ -763,39 +740,56 @@ TEST(FastPathShared, ServingReplicasReuseTheSharedPack) {
       << "serving replicas must reuse the shared prepared pack, not rebuild";
 }
 
-// ------------------------------------------------ stream chunk option
+// ------------------------------------------------ accumulator bound
 
-TEST(Stream, ChunkOptionKeepsResultsIdenticalAndValidates) {
-  Rng rng(907);
-  nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
-      quant::quantize(net, quant::QuantizeConfig{3, 4});
-  AcceleratorConfig cfg;
-  cfg.conv = ConvUnitGeometry{16, 3, 24};
-  cfg.pool = PoolUnitGeometry{8, 2, 16};
-  cfg.linear = LinearUnitGeometry{8, 24};
-  const ir::LayerProgram program = ir::lower(qnet, cfg);
-  const std::vector<TensorI> codes = random_code_batch(qnet, 10, rng);
+/// LeNet-5 with every weight and bias set to `value`: with every input code
+/// at 2^T-1 each accumulator lands exactly on its worst-case bound.
+quant::QuantizedNetwork uniform_lenet(float value, int time_bits) {
+  nn::Network lenet = nn::make_lenet5();
+  for (nn::Param* param : lenet.params()) param->value.fill(value);
+  return quant::quantize(lenet, quant::QuantizeConfig{3, time_bits});
+}
 
-  engine::StreamingExecutor chunk8(program,
-                                   engine::EngineKind::kCycleAccurate,
-                                   /*num_workers=*/2);
-  engine::StreamingExecutor chunk3(
-      program, engine::EngineKind::kCycleAccurate, /*num_workers=*/2,
-      /*injector=*/nullptr, /*replica_index=*/0, engine::StreamOptions{3});
-  const auto a = chunk8.run_stream(codes);
-  const auto b = chunk3.run_stream(codes);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE("image " + std::to_string(i));
-    expect_bit_identical(a[i], b[i]);
+TEST(FastPathBound, MaxCodesWithUniformSignWeightsMatchStepped) {
+  for (const int T : {4, 8}) {
+    for (const float weight : {0.5f, -0.5f}) {
+      SCOPED_TRACE("T=" + std::to_string(T) +
+                   (weight > 0 ? " positive" : " negative"));
+      const quant::QuantizedNetwork qnet = uniform_lenet(weight, T);
+      TensorI codes(qnet.input_shape);
+      codes.fill((1 << T) - 1);
+      const AccelRunResult golden =
+          Accelerator(lenet_reference_config(), qnet)
+              .run_codes(codes, SimMode::kStepped);
+      ASSERT_FALSE(golden.logits.empty());
+      // Positive weights drive every layer to max codes, so the raw logits
+      // sit exactly on the final layer's worst-case accumulator bound.
+      if (weight > 0) {
+        const std::int64_t bound =
+            network_accumulator_ranges(qnet).back().max_value;
+        for (const std::int64_t logit : golden.logits) EXPECT_EQ(logit, bound);
+      }
+
+      const std::vector<TensorI> batch(3, codes);
+      for (const PlanVariant& variant : kPlanVariants) {
+        SCOPED_TRACE(variant.label);
+        AcceleratorConfig cfg = lenet_reference_config();
+        cfg.fast_path.layout = variant.layout;
+        cfg.fast_path.fuse_conv_pool = variant.fuse;
+        const Accelerator accel(cfg, qnet);
+        expect_bit_identical(accel.run_codes(codes, SimMode::kCycleAccurate),
+                             golden);
+        Accelerator::WorkerState state = accel.make_worker_state();
+        std::vector<AccelRunResult> results(batch.size());
+        accel.run_codes_batched_into(state, batch.data(), batch.size(),
+                                     results.data());
+        for (std::size_t b = 0; b < batch.size(); ++b) {
+          SCOPED_TRACE("image " + std::to_string(b));
+          expect_bit_identical(results[b], golden);
+        }
+      }
+    }
   }
-
-  EXPECT_THROW(engine::StreamingExecutor(
-                   program, engine::EngineKind::kCycleAccurate,
-                   /*num_workers=*/1, /*injector=*/nullptr,
-                   /*replica_index=*/0, engine::StreamOptions{0}),
-               ContractViolation);
 }
 
 // ------------------------------------------------------- mode plumbing

@@ -1,7 +1,11 @@
-// Shared fixtures for the test suite: small random networks and inputs.
+// Shared fixtures for the test suite: small random networks and inputs, and
+// the whole-run accounting check against the stepped dataflow.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include "common/rng.hpp"
+#include "hw/run_result.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
@@ -74,6 +78,23 @@ inline nn::Network sweep_net(const SweepConfig& cfg, Rng& rng) {
     for (std::int64_t i = 0; i < p->value.numel(); ++i)
       p->value.at_flat(i) *= 0.5f;
   return net;
+}
+
+/// Whole-run totals that must match the stepped dataflow exactly: logits,
+/// cycles, adder ops, DRAM bits and every traffic class.
+inline void expect_same_totals(const hw::AccelRunResult& run,
+                               const hw::AccelRunResult& stepped) {
+  EXPECT_EQ(run.logits, stepped.logits);
+  EXPECT_EQ(run.total_cycles, stepped.total_cycles);
+  EXPECT_EQ(run.total_adder_ops, stepped.total_adder_ops);
+  EXPECT_EQ(run.dram_bits, stepped.dram_bits);
+  EXPECT_EQ(run.traffic_total.act_read_bits,
+            stepped.traffic_total.act_read_bits);
+  EXPECT_EQ(run.traffic_total.act_write_bits,
+            stepped.traffic_total.act_write_bits);
+  EXPECT_EQ(run.traffic_total.weight_read_bits,
+            stepped.traffic_total.weight_read_bits);
+  EXPECT_EQ(run.traffic_total.dram_bits, stepped.traffic_total.dram_bits);
 }
 
 }  // namespace rsnn::testing

@@ -257,11 +257,11 @@ TEST(Accelerator, LatencyScalesWithTimeSteps) {
   EXPECT_LT(ratio, 2.2);
 }
 
-// --------------------- invariant 4: analytic model == cycle-accurate count
+// ----------- invariant 4: analytic model == fast path == stepped dataflow
 
 class CycleModelSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(CycleModelSweep, AnalyticEqualsCycleAccurate) {
+TEST_P(CycleModelSweep, FastPathEqualsPredictionAndStepped) {
   Rng rng(81 + GetParam());
   nn::Network net = small_random_net(rng);
   const quant::QuantizedNetwork qnet = quantize(net, quant::QuantizeConfig{3, 4});
@@ -271,10 +271,10 @@ TEST_P(CycleModelSweep, AnalyticEqualsCycleAccurate) {
   const AccelRunResult run = accel.run_image(image, SimMode::kCycleAccurate);
   EXPECT_EQ(run.total_cycles, accel.predict_total_cycles());
 
-  // The analytic mode must agree on both cycles and logits.
-  const AccelRunResult analytic = accel.run_image(image, SimMode::kAnalytic);
-  EXPECT_EQ(analytic.total_cycles, run.total_cycles);
-  EXPECT_EQ(analytic.logits, run.logits);
+  // The fast path and the prediction both read the ops' latency
+  // annotations; the stepped dataflow counts cycles independently.
+  rsnn::testing::expect_same_totals(
+      run, accel.run_image(image, SimMode::kStepped));
 }
 
 INSTANTIATE_TEST_SUITE_P(Units, CycleModelSweep, ::testing::Values(1, 2, 3, 4, 8));

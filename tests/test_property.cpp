@@ -2,7 +2,8 @@
 // chain. For each generated network the three core invariants must hold:
 //   (1) radix SNN == quantized reference (bit-exact),
 //   (2) cycle-accurate accelerator == quantized reference (bit-exact),
-//   (4) analytic cycle count == stepped cycle count.
+//   (4) fast-path accounting == the stepped dataflow's: cycles (also equal
+//       to the analytic prediction), adder ops and traffic.
 // plus serialization round-trips and unit-count invariance (3).
 #include <gtest/gtest.h>
 
@@ -95,8 +96,11 @@ TEST_P(ArchitectureSweep, AllInvariantsHold) {
     const auto run = accel.run_codes(codes, hw::SimMode::kCycleAccurate);
     EXPECT_EQ(run.logits, reference);
 
-    // (4) analytic model cycle-exact.
+    // (4) the fast path reads the same latency annotations the analytic
+    // prediction sums, so the stepped dataflow is the independent check.
     EXPECT_EQ(run.total_cycles, accel.predict_total_cycles());
+    rsnn::testing::expect_same_totals(
+        run, accel.run_codes(codes, hw::SimMode::kStepped));
   }
 
   // (3) unit-count invariance.

@@ -212,8 +212,7 @@ TEST_P(RelowerEquivalence, LogitsBitIdenticalWhileStageCyclesImprove) {
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, RelowerEquivalence,
-    ::testing::Values(EngineKind::kCycleAccurate, EngineKind::kAnalytic,
-                      EngineKind::kBehavioral, EngineKind::kReference),
+    ::testing::ValuesIn(all_engines()),
     [](const ::testing::TestParamInfo<EngineKind>& info) {
       return std::string(engine_name(info.param));
     });
@@ -316,10 +315,10 @@ TEST(RelowerVgg11, StagePromotedFromDramWithLowerCycles) {
   EXPECT_EQ(slow.stats.total_cycles, inherited[p].predicted_cycles);
 
   // End to end: the re-lowered pipeline still produces the monolithic
-  // logits (analytic engine at VGG scale).
-  const auto monolithic = make_engine(EngineKind::kAnalytic, program);
+  // logits (cycle-accurate fast path at VGG scale).
+  const auto monolithic = make_engine(EngineKind::kCycleAccurate, program);
   const hw::AccelRunResult ref = monolithic->run_codes(input);
-  PipelineExecutor pipe(program, relowered, EngineKind::kAnalytic);
+  PipelineExecutor pipe(program, relowered, EngineKind::kCycleAccurate);
   const auto results = pipe.run_pipeline({input});
   EXPECT_EQ(results[0].logits, ref.logits);
   EXPECT_LT(results[0].total_cycles, ref.total_cycles);

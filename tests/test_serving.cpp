@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <future>
 #include <thread>
 #include <vector>
@@ -72,25 +73,29 @@ TEST(AdmissionPolicyNames, RoundTripAndErrors) {
   EXPECT_THROW(parse_policy(""), ContractViolation);
 }
 
+// ------------------------------------------------------- engine names
+
+TEST(EngineNames, FourKindsAndTheAnalyticAlias) {
+  EXPECT_EQ(all_engines().size(), 4u);
+  EXPECT_EQ(parse_engine("analytic"), EngineKind::kCycleAccurate);
+}
+
 // ----------------------------------------------------- submitter facade
 
-TEST(Submitter, StreamAndPipelineSharesOneInterface) {
+TEST(Submitter, MonolithicAndPipelineShareOneInterface) {
   const LeNetFixture fx;
   const auto batch = lenet_batch(2, fx.qnet.time_bits);
   const auto reference =
       monolithic_reference(fx.program, EngineKind::kReference, batch);
 
-  auto monolithic =
-      make_submitter(fx.program, EngineKind::kReference, {}, /*workers=*/2);
-  EXPECT_EQ(monolithic->shape(), "stream(2)");
-  EXPECT_EQ(monolithic->lanes(), 2);
+  auto monolithic = make_submitter(fx.program, EngineKind::kReference, {});
+  EXPECT_EQ(monolithic->shape(), "monolithic");
   EXPECT_EQ(monolithic->devices(), 1);
 
   const auto segments = compiler::partition_balance_latency(fx.program, 3);
   auto pipelined =
       make_submitter(fx.program, EngineKind::kReference, segments);
   EXPECT_EQ(pipelined->shape(), "pipeline(3)");
-  EXPECT_EQ(pipelined->lanes(), 3);
   EXPECT_EQ(pipelined->devices(), 3);
 
   for (Submitter* submitter : {monolithic.get(), pipelined.get()}) {
@@ -195,14 +200,14 @@ TEST(ServingPool, RelowereedPipelineReplicasKeepLogits) {
   const LeNetFixture fx;
   const auto batch = lenet_batch(2, fx.qnet.time_bits);
   const auto reference =
-      monolithic_reference(fx.program, EngineKind::kAnalytic, batch);
+      monolithic_reference(fx.program, EngineKind::kCycleAccurate, batch);
 
   ServingPoolOptions options;
   options.replicas = 2;
   options.segments = compiler::partition_balance_latency(
       fx.program, 2, compiler::PartitionOptions{});
   ASSERT_TRUE(options.segments.front().is_relowered());
-  ServingPool pool(fx.program, EngineKind::kAnalytic, options);
+  ServingPool pool(fx.program, EngineKind::kCycleAccurate, options);
 
   const auto run = pool.run_batch(batch);
   for (std::size_t i = 0; i < batch.size(); ++i) {
@@ -210,6 +215,38 @@ TEST(ServingPool, RelowereedPipelineReplicasKeepLogits) {
     EXPECT_EQ(run.results[i].result.logits, reference[i].logits)
         << "image " << i;
   }
+}
+
+// ------------------------------------------------------- thread budget
+
+/// Threads of this process, or -1 where /proc/self/task is unavailable.
+int process_threads() {
+  std::error_code error;
+  std::filesystem::directory_iterator it("/proc/self/task", error);
+  if (error) return -1;
+  int count = 0;
+  for (; !error && it != std::filesystem::directory_iterator();
+       it.increment(error))
+    ++count;
+  return error ? -1 : count;
+}
+
+TEST(ServingPool, MonolithicReplicaCostsExactlyOneThread) {
+  // A monolithic replica runs its engine inline on its dispatcher thread:
+  // with fast_path.threads = 1 a pool of R replicas adds exactly R threads,
+  // before and after serving work.
+  const LeNetFixture fx;
+  ASSERT_EQ(fx.program.config().fast_path.threads, 1);
+  const int before = process_threads();
+  if (before < 0) GTEST_SKIP() << "/proc/self/task is unavailable";
+  constexpr int kReplicas = 3;
+  ServingPoolOptions options;
+  options.replicas = kReplicas;
+  ServingPool pool(fx.program, EngineKind::kCycleAccurate, options);
+  EXPECT_EQ(process_threads() - before, kReplicas);
+  const auto batch = lenet_batch(4, fx.qnet.time_bits);
+  EXPECT_EQ(pool.run_batch(batch).ok_count(), batch.size());
+  EXPECT_EQ(process_threads() - before, kReplicas);
 }
 
 // ------------------------------------------------ queue concurrency
@@ -273,9 +310,14 @@ TEST(ServingPool, ZeroCapacityQueueRejectsEverything) {
     EXPECT_FALSE(shed.error.empty());
     EXPECT_EQ(shed.attempts, 0);
   }
-  std::future<ServingResult> ticket;
-  EXPECT_FALSE(pool.try_submit(batch[0], &ticket));
-  EXPECT_FALSE(ticket.valid()) << "a refused try_submit leaves the ticket";
+  Request probe;
+  probe.codes = batch[0];
+  probe.options.admission = AdmissionMode::kNonBlocking;
+  bool admitted = true;
+  auto ticket = pool.submit(std::move(probe), &admitted);
+  EXPECT_FALSE(admitted) << "a full queue refuses a non-blocking probe";
+  ASSERT_TRUE(ticket.valid()) << "a refused probe still resolves";
+  EXPECT_EQ(ticket.get().status, RequestStatus::kRejected);
 
   const ServingStats stats = pool.stats();
   EXPECT_EQ(stats.submitted, 0);
@@ -469,12 +511,6 @@ TEST(ServingPool, InvalidOptionsThrow) {
   }
   {
     ServingPoolOptions options;
-    options.workers_per_replica = 0;
-    EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
-                 ContractViolation);
-  }
-  {
-    ServingPoolOptions options;
     options.policy = AdmissionPolicy::kBatch;
     options.max_batch = 0;
     EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
@@ -558,13 +594,13 @@ TEST(PlanServing, PlannedConfigurationServesBitIdentically) {
   const LeNetFixture fx;
   const auto batch = lenet_batch(3, fx.qnet.time_bits);
   const auto reference =
-      monolithic_reference(fx.program, EngineKind::kAnalytic, batch);
+      monolithic_reference(fx.program, EngineKind::kCycleAccurate, batch);
 
   const auto plan = compiler::plan_serving(fx.program, 4);
   ServingPoolOptions options;
   options.replicas = plan.replicas;
   if (plan.stages > 1) options.segments = plan.segments;
-  ServingPool pool(fx.program, EngineKind::kAnalytic, options);
+  ServingPool pool(fx.program, EngineKind::kCycleAccurate, options);
   const auto run = pool.run_batch(batch);
   EXPECT_EQ(run.ok_count(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i)

@@ -4,8 +4,7 @@
 //   rsnn_cli convert --model lenet5 --weights lenet.rsnn --T 4 --out lenet.qsnn
 //                    [--weight-bits 3] [--per-channel 1]
 //   rsnn_cli run     --qsnn lenet.qsnn [--units 2] [--mhz 100] [--samples 200]
-//                    [--engine cycle_accurate|analytic|behavioral|reference]
-//                    [--stream <workers>]
+//                    [--engine cycle_accurate|stepped|behavioral|reference]
 //                    [--pipeline <stages> [--partition balance_latency|fit_resources]
 //                     [--relower 1]]
 //                    [--serve 1 ...serving flags...]
@@ -34,7 +33,6 @@
 #include "engine/fault.hpp"
 #include "engine/pipeline.hpp"
 #include "engine/serving_pool.hpp"
-#include "engine/stream.hpp"
 #include "eval_data.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/power_model.hpp"
@@ -91,12 +89,10 @@ std::vector<FlagSpec> run_flags() {
       count_flag("units", "2", "convolution units in the derived design", 1),
       number_flag("mhz", "100", "design clock", 1e-3),
       count_flag("samples", "200", "evaluation samples", 1),
-      text_flag("engine", "analytic",
-                "cycle_accurate|stepped|analytic|behavioral|reference",
+      text_flag("engine", "cycle_accurate",
+                "cycle_accurate|stepped|behavioral|reference (analytic = "
+                "cycle_accurate)",
                 "NAME"),
-      count_flag("stream", "-1",
-                 "streaming-report workers (0 = one per hardware thread)",
-                 -1),
       count_flag("threads", "1",
                  "cores per batched fast-path run (0 = all; trades against "
                  "--replicas)"),
@@ -406,9 +402,9 @@ int cmd_run(int argc, char** argv) {
   options.num_conv_units = static_cast<int>(args.count("units"));
   options.clock_mhz = args.number("mhz");
   // Host threads per batched fast-path run (0 = hardware concurrency). Flows
-  // through the lowered program's config, so `--stream` workers and every
-  // `--serve` replica inherit it: `--threads` trades cores-per-replica
-  // against `--replicas` on one host.
+  // through the lowered program's config, so every `--serve` replica
+  // inherits it: `--threads` trades cores-per-replica against `--replicas`
+  // on one host.
   options.fast_path_threads = static_cast<int>(args.count("threads"));
   const auto design = compiler::compile(qnet, options);
   std::printf("%s", compiler::describe(design, qnet).c_str());
@@ -436,20 +432,6 @@ int cmd_run(int argc, char** argv) {
               100.0 * static_cast<double>(correct) /
                   static_cast<double>(eval.size()));
   std::printf("%s", hw::run_summary(design.config, run, resources, power).c_str());
-
-  // Optional streaming-throughput report: feed the whole eval set through a
-  // persistent worker pool with the selected engine.
-  const int stream_workers = static_cast<int>(args.count("stream"));
-  if (stream_workers >= 0) {
-    engine::StreamingExecutor stream(design.program, kind, stream_workers);
-    stream.run_stream_images(eval.images);
-    const engine::StreamStats& stats = stream.last_stats();
-    std::printf(
-        "streaming: %lld images on %d worker(s) in %.1f ms -> %.1f "
-        "images/sec (simulator wall clock)\n",
-        static_cast<long long>(stats.images), stats.workers, stats.wall_ms,
-        stats.images_per_sec);
-  }
 
   // Serving-pool report: N replicas (each monolithic or a K-stage pipeline)
   // behind one bounded admission queue. `--devices D` plans the stages x
