@@ -88,10 +88,11 @@ class Engine {
   virtual void run_codes_into(const TensorI& codes, hw::AccelRunResult& out);
 
   /// Run `count` images through the engine, reusing the results' storage.
-  /// The cycle-accurate engine forwards to the batched fast path (one
-  /// prepared-weight traversal for the whole batch); the default loops
-  /// run_codes_into(). Results are bit-identical to the
-  /// sequential loop either way.
+  /// The cycle-accurate engine runs them as one batch of the fast-path
+  /// kernels (one prepared-weight traversal for the whole batch; a single
+  /// image is the same kernels at batch width 1); the default loops
+  /// run_codes_into(). Every results[i] is bit-identical to a stepped-
+  /// dataflow run of codes[i] either way.
   virtual void run_codes_batched_into(const TensorI* codes, std::size_t count,
                                       hw::AccelRunResult* results);
 

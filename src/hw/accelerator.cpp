@@ -91,8 +91,8 @@ void Accelerator::run_codes_into(WorkerState& state, const TensorI& codes,
                "with this accelerator's make_worker_state())");
   check_range(codes, 0, program_.size());
   reset_run_result(out);
-  run_fast_path(program_, fast_prepared(), state.fast_arena, codes, 0,
-                program_.size(), nullptr, out);
+  run_fast_path_batched(program_, fast_prepared(), state.fast_arena, &codes, 1,
+                        0, program_.size(), nullptr, &out);
 }
 
 void Accelerator::run_codes_batched_into(WorkerState& state,
@@ -101,7 +101,7 @@ void Accelerator::run_codes_batched_into(WorkerState& state,
                                          AccelRunResult* results,
                                          SimMode mode) const {
   if (batch == 0) return;
-  if (mode == SimMode::kStepped || batch == 1) {
+  if (mode == SimMode::kStepped) {
     for (std::size_t b = 0; b < batch; ++b)
       run_codes_into(state, codes[b], results[b], mode);
     return;
@@ -114,10 +114,11 @@ void Accelerator::run_codes_batched_into(WorkerState& state,
                  "input shape mismatch for op 0 (batch element " << b << ")");
     reset_run_result(results[b]);
   }
-  // fast_path.threads: 1 = sequential batched kernel on the worker's own
-  // arena; 0 = one slice per hardware thread; N = at most N slices. The
-  // parallel kernel runs the same per-slice code, so results stay
-  // bit-identical per image either way.
+  // fast_path.threads: 1 = sequential kernel on the worker's own arena;
+  // 0 = one slice per hardware thread; N = at most N slices. The parallel
+  // kernel runs the same per-slice code, so results stay bit-identical per
+  // image either way. A single image has nothing to split and stays on the
+  // worker's arena: taking the process-wide pool would serialize replicas.
   const int requested = program_.config().fast_path.threads;
   const std::size_t threads =
       requested == 1
@@ -152,8 +153,8 @@ AccelRunResult Accelerator::run_fast(common::Arena& arena,
                                      std::size_t end,
                                      TensorI* boundary_codes) const {
   AccelRunResult result;
-  run_fast_path(program_, fast_prepared(), arena, codes, begin, end,
-                boundary_codes, result);
+  run_fast_path_batched(program_, fast_prepared(), arena, &codes, 1, begin, end,
+                        boundary_codes, &result);
   return result;
 }
 

@@ -92,13 +92,13 @@ class Accelerator {
                       SimMode mode = SimMode::kCycleAccurate) const;
 
   /// Run `batch` whole-program inferences through one prepared-weight
-  /// traversal of the batched fast path (hw/fast_path): each weight tile is
-  /// loaded once and applied to every image, amortizing the cache misses
-  /// that dominate per-image runs. `codes` and `results` point at `batch`
+  /// traversal of the fast path (hw/fast_path): each weight tile is loaded
+  /// once and applied to every image, amortizing the cache misses that
+  /// dominate per-image runs. `codes` and `results` point at `batch`
   /// elements; every results[b] is bit-identical to run_codes_into(state,
-  /// codes[b], results[b], mode). kStepped (and trivial batches) fall back
-  /// to the sequential loop. A warm (state,
-  /// results) pair keeps the whole call allocation-free.
+  /// codes[b], results[b], mode) — which is this same kernel at batch width
+  /// 1. kStepped loops run_codes_into(). A warm (state, results) pair keeps
+  /// the whole call allocation-free.
   ///
   /// With config().fast_path.threads != 1 the batch splits into contiguous
   /// image slices executed fork/join per op on common::shared_task_pool()

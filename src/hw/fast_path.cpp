@@ -68,93 +68,101 @@ AxisBounds out_bounds(std::int64_t j, std::int64_t pad, std::int64_t str,
   return {lo, hi};
 }
 
-/// exact_adder_ops for a conv op, via the prepared coverage tables: a spike
-/// at (ic, iy, ix) fires county[iy] * countx[ix] adders in each of the Cout
-/// output planes.
-std::int64_t conv_adder_ops(const std::int64_t* in, std::int64_t cin,
-                            std::int64_t ih, std::int64_t iw,
-                            const std::int64_t* county,
-                            const std::int64_t* countx, std::int64_t cout) {
-  std::int64_t ops = 0;
-  const std::int64_t* p = in;
-  for (std::int64_t c = 0; c < cin; ++c) {
-    for (std::int64_t y = 0; y < ih; ++y) {
-      const std::int64_t cy = county[y];
-      for (std::int64_t x = 0; x < iw; ++x, ++p)
-        ops += std::popcount(static_cast<std::uint64_t>(*p)) * cy * countx[x];
-    }
-  }
-  return ops * cout;
+// --- One kernel family, two instances --------------------------------------
+// Activations travel between ops interleaved image-minor: buf[idx * B + b]
+// is element idx (CHW order) of image b. Every kernel below is templated on
+// a compile-time batch width kB: kB == 1 is the single-image instance (every
+// per-image loop is one compile-time iteration, and the per-image SIMD calls
+// of length 1 become inline scalar updates), while kB == 0 takes the width
+// from the slice at run time. A slice picks its instance from its own B, so
+// one image is exactly a batch of one.
+
+/// Images handled by a kB instance called with run-time width `batch`.
+template <int kB>
+constexpr std::int64_t width(std::int64_t batch) {
+  return kB == 0 ? batch : kB;
 }
 
-/// exact_adder_ops for a pool op: spikes within the covered region
-/// (iy / k < oh, ix / k < ow) each fire one adder.
-std::int64_t pool_covered_spikes(const std::int64_t* in, std::int64_t channels,
-                                 std::int64_t ih, std::int64_t iw,
-                                 std::int64_t k, std::int64_t oh,
-                                 std::int64_t ow) {
-  std::int64_t spikes = 0;
-  const std::int64_t* p = in;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t y = 0; y < ih; ++y) {
-      const bool y_covered = y / k < oh;
-      for (std::int64_t x = 0; x < iw; ++x, ++p) {
-        if (y_covered && x / k < ow)
-          spikes += std::popcount(static_cast<std::uint64_t>(*p));
-      }
-    }
+/// acc[b] += w * src[b] over one pixel's B images.
+template <int kB>
+void axpy_pixel(const Kernels& K, std::int64_t* acc, const std::int64_t* src,
+                std::int64_t w, std::int64_t batch) {
+  if constexpr (kB == 0) {
+    K.axpy_code_i64(acc, src, w, batch);
+  } else {
+    for (std::int64_t b = 0; b < kB; ++b) acc[b] += w * src[b];
   }
-  return spikes;
 }
 
-// --- Per-image counter variants over an interleaved batch ------------------
-// Batched activations are stored image-minor (buf[idx * B + b]); each
-// counter is the same expression as the scalar version, accumulated into a
-// per-image slot so every image's stats match its solo run exactly.
+/// acc[b] += src[b] over one pixel's B images.
+template <int kB>
+void add_pixel(const Kernels& K, std::int64_t* acc, const std::int64_t* src,
+               std::int64_t batch) {
+  if constexpr (kB == 0) {
+    K.add_i64(acc, src, batch);
+  } else {
+    for (std::int64_t b = 0; b < kB; ++b) acc[b] += src[b];
+  }
+}
 
+// --- Per-image counters ----------------------------------------------------
+// Each counter accumulates into a per-image slot, so every image's stats are
+// exactly those of its own run whatever batch it shares.
+
+template <int kB>
 void popcount_per_image(const std::int64_t* buf, std::int64_t n,
                         std::int64_t batch, std::int64_t* out) {
-  std::fill(out, out + batch, std::int64_t{0});
+  const std::int64_t B = width<kB>(batch);
+  std::fill(out, out + B, std::int64_t{0});
   for (std::int64_t i = 0; i < n; ++i) {
-    const std::int64_t* px = buf + i * batch;
-    for (std::int64_t b = 0; b < batch; ++b)
+    const std::int64_t* px = buf + i * B;
+    for (std::int64_t b = 0; b < B; ++b)
       out[b] += std::popcount(static_cast<std::uint64_t>(px[b]));
   }
 }
 
+/// exact_adder_ops for a conv op, via the prepared coverage tables: a spike
+/// at (ic, iy, ix) fires county[iy] * countx[ix] adders in each of the Cout
+/// output planes.
+template <int kB>
 void conv_adder_ops_per_image(const std::int64_t* in, std::int64_t cin,
                               std::int64_t ih, std::int64_t iw,
                               const std::int64_t* county,
                               const std::int64_t* countx, std::int64_t cout,
                               std::int64_t batch, std::int64_t* out) {
-  std::fill(out, out + batch, std::int64_t{0});
+  const std::int64_t B = width<kB>(batch);
+  std::fill(out, out + B, std::int64_t{0});
   const std::int64_t* p = in;
   for (std::int64_t c = 0; c < cin; ++c) {
     for (std::int64_t y = 0; y < ih; ++y) {
       const std::int64_t cy = county[y];
-      for (std::int64_t x = 0; x < iw; ++x, p += batch) {
+      for (std::int64_t x = 0; x < iw; ++x, p += B) {
         const std::int64_t f = cy * countx[x];
         if (f == 0) continue;
-        for (std::int64_t b = 0; b < batch; ++b)
+        for (std::int64_t b = 0; b < B; ++b)
           out[b] += std::popcount(static_cast<std::uint64_t>(p[b])) * f;
       }
     }
   }
-  for (std::int64_t b = 0; b < batch; ++b) out[b] *= cout;
+  for (std::int64_t b = 0; b < B; ++b) out[b] *= cout;
 }
 
+/// exact_adder_ops for a pool op: spikes within the covered region
+/// (iy / k < oh, ix / k < ow) each fire one adder.
+template <int kB>
 void pool_covered_per_image(const std::int64_t* in, std::int64_t channels,
                             std::int64_t ih, std::int64_t iw, std::int64_t k,
                             std::int64_t oh, std::int64_t ow,
                             std::int64_t batch, std::int64_t* out) {
-  std::fill(out, out + batch, std::int64_t{0});
+  const std::int64_t B = width<kB>(batch);
+  std::fill(out, out + B, std::int64_t{0});
   const std::int64_t* p = in;
   for (std::int64_t c = 0; c < channels; ++c) {
     for (std::int64_t y = 0; y < ih; ++y) {
       const bool y_covered = y / k < oh;
-      for (std::int64_t x = 0; x < iw; ++x, p += batch) {
+      for (std::int64_t x = 0; x < iw; ++x, p += B) {
         if (!y_covered || x / k >= ow) continue;
-        for (std::int64_t b = 0; b < batch; ++b)
+        for (std::int64_t b = 0; b < B; ++b)
           out[b] += std::popcount(static_cast<std::uint64_t>(p[b]));
       }
     }
@@ -163,59 +171,26 @@ void pool_covered_per_image(const std::int64_t* in, std::int64_t channels,
 
 // --- Conv kernels, CHW -----------------------------------------------------
 
-/// One conv output channel in CHW order: accumulate into acc[oh*ow], then
-/// requantize in place. Taps iterate (ic, ky, kx)-outer so the inner loop is
-/// a contiguous row axpy (handed to the SIMD dispatch table); zero weights
-/// (common at 3-bit resolution) skip their whole plane pass.
-void conv_channel_chw(const QConv2d& conv, const std::int64_t* in,
-                      std::int64_t ih, std::int64_t iw, std::int64_t oh,
-                      std::int64_t ow, std::int64_t oc, const Kernels& K,
-                      std::int64_t* acc) {
-  std::fill(acc, acc + oh * ow, std::int64_t{0});
-  const std::int64_t k = conv.kernel, str = conv.stride, pad = conv.padding;
-  const std::int32_t* wbase =
-      conv.weight.data() + oc * conv.in_channels * k * k;
-  for (std::int64_t ic = 0; ic < conv.in_channels; ++ic) {
-    const std::int64_t* plane = in + ic * ih * iw;
-    const std::int32_t* wch = wbase + ic * k * k;
-    for (std::int64_t ky = 0; ky < k; ++ky) {
-      const AxisBounds by = out_bounds(ky, pad, str, ih, oh);
-      for (std::int64_t kx = 0; kx < k; ++kx) {
-        const std::int64_t w = wch[ky * k + kx];
-        if (w == 0) continue;
-        const AxisBounds bx = out_bounds(kx, pad, str, iw, ow);
-        const std::int64_t x0 = kx - pad;
-        for (std::int64_t oy = by.lo; oy < by.hi; ++oy) {
-          const std::int64_t* row = plane + (oy * str + ky - pad) * iw;
-          std::int64_t* arow = acc + oy * ow;
-          prefetch_ro(row + str * iw);  // next oy's input row
-          if (str == 1) {
-            K.axpy_code_i64(arow + bx.lo, row + x0 + bx.lo, w, bx.hi - bx.lo);
-          } else {
-            for (std::int64_t ox = bx.lo; ox < bx.hi; ++ox)
-              arow[ox] += w * row[x0 + ox * str];
-          }
-        }
-      }
-    }
-  }
-}
-
-/// Batched CHW conv channel over image-minor interleaved activations: with
-/// stride 1 consecutive output pixels read consecutive interleaved input
-/// pixels, so a whole row segment of all B images is ONE contiguous axpy of
-/// length (hi-lo)*B — the weight is loaded once for the entire batch row.
+/// One conv output channel in CHW order: accumulate into acc[oh*ow*B], then
+/// the caller requantizes in place. Taps iterate (ic, ky, kx)-outer so the
+/// inner loop is contiguous, and zero weights (common at 3-bit resolution)
+/// skip their whole plane pass. With stride 1 consecutive output pixels read
+/// consecutive interleaved input pixels, so a whole row segment of all B
+/// images is ONE SIMD axpy of length (hi-lo)*B — the weight is loaded once
+/// for the entire batch row.
+template <int kB>
 void conv_channel_chw_batched(const QConv2d& conv, const std::int64_t* in,
                               std::int64_t ih, std::int64_t iw, std::int64_t oh,
                               std::int64_t ow, std::int64_t oc,
                               std::int64_t batch, const Kernels& K,
                               std::int64_t* acc) {
-  std::fill(acc, acc + oh * ow * batch, std::int64_t{0});
+  const std::int64_t B = width<kB>(batch);
+  std::fill(acc, acc + oh * ow * B, std::int64_t{0});
   const std::int64_t k = conv.kernel, str = conv.stride, pad = conv.padding;
   const std::int32_t* wbase =
       conv.weight.data() + oc * conv.in_channels * k * k;
   for (std::int64_t ic = 0; ic < conv.in_channels; ++ic) {
-    const std::int64_t* plane = in + ic * ih * iw * batch;
+    const std::int64_t* plane = in + ic * ih * iw * B;
     const std::int32_t* wch = wbase + ic * k * k;
     for (std::int64_t ky = 0; ky < k; ++ky) {
       const AxisBounds by = out_bounds(ky, pad, str, ih, oh);
@@ -225,16 +200,15 @@ void conv_channel_chw_batched(const QConv2d& conv, const std::int64_t* in,
         const AxisBounds bx = out_bounds(kx, pad, str, iw, ow);
         const std::int64_t x0 = kx - pad;
         for (std::int64_t oy = by.lo; oy < by.hi; ++oy) {
-          const std::int64_t iy = oy * str + ky - pad;
-          std::int64_t* arow = acc + (oy * ow + bx.lo) * batch;
+          const std::int64_t* row = plane + (oy * str + ky - pad) * iw * B;
+          std::int64_t* arow = acc + (oy * ow + bx.lo) * B;
+          prefetch_ro(row + str * iw * B);  // next oy's input row
           if (str == 1) {
-            const std::int64_t* src = plane + (iy * iw + x0 + bx.lo) * batch;
-            prefetch_ro(src + str * iw * batch);  // next oy's input row
-            K.axpy_code_i64(arow, src, w, (bx.hi - bx.lo) * batch);
+            K.axpy_code_i64(arow, row + (x0 + bx.lo) * B, w,
+                            (bx.hi - bx.lo) * B);
           } else {
-            for (std::int64_t ox = bx.lo; ox < bx.hi; ++ox, arow += batch)
-              K.axpy_code_i64(arow, plane + (iy * iw + x0 + ox * str) * batch,
-                              w, batch);
+            for (std::int64_t ox = bx.lo; ox < bx.hi; ++ox, arow += B)
+              axpy_pixel<kB>(K, arow, row + (x0 + ox * str) * B, w, B);
           }
         }
       }
@@ -243,8 +217,8 @@ void conv_channel_chw_batched(const QConv2d& conv, const std::int64_t* in,
 }
 
 /// Requantize (or bias-add, for the raw final layer) one output channel's
-/// accumulator plane in place. Works unchanged on interleaved batch planes:
-/// the transform is elementwise and identical for every image.
+/// accumulator plane in place. The transform is elementwise and identical
+/// for every image, so it runs unchanged over an interleaved plane.
 void finish_channel(const QConv2d& conv, std::int64_t oc, int time_bits,
                     std::int64_t* acc, std::int64_t count) {
   const std::int64_t bias = conv.bias.data()[oc];
@@ -281,90 +255,27 @@ std::int64_t hwc_strip_height(std::int64_t iw, std::int64_t cin,
 }
 
 /// Whole conv layer in HWC order, writing finished codes to
-/// out_hwc[oh*ow][Cout]. The input is repacked CHW -> HWC one output-row
-/// strip at a time (the strip stays cache-resident; halo rows between strips
-/// are repacked twice). Per output pixel an acc[Cout] register block
-/// accumulates with the prepared [ky][kx][Cin][Cout] weights, skipping zero
-/// activations (spike sparsity), with the contiguous output-channel inner
-/// loop handed to the SIMD dispatch table.
-void conv_hwc(const QConv2d& conv, const std::int64_t* in, std::int64_t ih,
-              std::int64_t iw, std::int64_t oh, std::int64_t ow,
-              const std::int32_t* whwc, int time_bits, const Kernels& K,
-              common::Arena& arena, std::int64_t* out_hwc) {
-  const std::int64_t cin = conv.in_channels, cout = conv.out_channels;
-  const std::int64_t k = conv.kernel, str = conv.stride, pad = conv.padding;
-
-  const std::int64_t strip_oh = hwc_strip_height(iw, cin, 1, k, str, oh);
-  const std::int64_t rows_cap = std::min(ih, (strip_oh - 1) * str + k);
-  std::int64_t* tile = arena.alloc<std::int64_t>(rows_cap * iw * cin);
-  std::int64_t* acc = arena.alloc<std::int64_t>(cout);
-  const std::int64_t* bias = conv.bias.data();
-  const std::int32_t* cf =
-      conv.channel_frac.numel() > 0 ? conv.channel_frac.data() : nullptr;
-
-  for (std::int64_t oy0 = 0; oy0 < oh; oy0 += strip_oh) {
-    const std::int64_t oy1 = std::min(oh, oy0 + strip_oh);
-    const std::int64_t ty0 = std::max<std::int64_t>(0, oy0 * str - pad);
-    const std::int64_t ty1 =
-        std::max(ty0, std::min(ih, (oy1 - 1) * str + k - pad));
-    for (std::int64_t c = 0; c < cin; ++c) {
-      const std::int64_t* plane = in + c * ih * iw;
-      for (std::int64_t iy = ty0; iy < ty1; ++iy)
-        for (std::int64_t ix = 0; ix < iw; ++ix)
-          tile[((iy - ty0) * iw + ix) * cin + c] = plane[iy * iw + ix];
-    }
-    for (std::int64_t oy = oy0; oy < oy1; ++oy) {
-      for (std::int64_t ox = 0; ox < ow; ++ox) {
-        std::fill(acc, acc + cout, std::int64_t{0});
-        for (std::int64_t ky = 0; ky < k; ++ky) {
-          const std::int64_t iy = oy * str + ky - pad;
-          if (iy < 0 || iy >= ih) continue;
-          for (std::int64_t kx = 0; kx < k; ++kx) {
-            const std::int64_t ix = ox * str + kx - pad;
-            if (ix < 0 || ix >= iw) continue;
-            const std::int64_t* px = tile + ((iy - ty0) * iw + ix) * cin;
-            const std::int32_t* wk = whwc + (ky * k + kx) * cin * cout;
-            for (std::int64_t ic = 0; ic < cin; ++ic) {
-              const std::int64_t a = px[ic];
-              if (a == 0) continue;
-              // [cin][cout] rows are contiguous across taps, so the
-              // prefetch rolls into the next tap's tile at block ends.
-              prefetch_ro(wk + (ic + kPrefetchRows) * cout);
-              K.axpy_w32(acc, wk + ic * cout, a, cout);
-            }
-          }
-        }
-        std::int64_t* dst = out_hwc + (oy * ow + ox) * cout;
-        if (conv.requantize) {
-          for (std::int64_t oc = 0; oc < cout; ++oc)
-            dst[oc] = quant::requantize_value(
-                acc[oc], bias[oc], cf ? cf[oc] : conv.frac_bits, time_bits);
-        } else {
-          for (std::int64_t oc = 0; oc < cout; ++oc)
-            dst[oc] = acc[oc] + bias[oc];
-        }
-      }
-    }
-  }
-}
-
-/// Batched HWC conv: the repacked strip interleaves images per input pixel
-/// ([row][x][Cin][B]) and the accumulator block holds all images
-/// ([B][Cout]), so each prepared weight row is applied to every image in the
-/// batch while it is hot in cache. Output goes to out_hwcb[pix][B][Cout]
-/// (finished codes, contiguous per image).
+/// out_hwcb[oh*ow][B][Cout] (contiguous per image). The input is repacked
+/// CHW -> [row][x][Cin][B] one output-row strip at a time (the strip stays
+/// cache-resident; halo rows between strips are repacked twice). Per output
+/// pixel an acc[B][Cout] block accumulates with the prepared
+/// [ky][kx][Cin][Cout] weights, so each weight row is applied to every image
+/// while it is hot in cache; zero activations (spike sparsity) are skipped
+/// and the contiguous output-channel loop goes to the SIMD dispatch table.
+template <int kB>
 void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
                       std::int64_t ih, std::int64_t iw, std::int64_t oh,
                       std::int64_t ow, const std::int32_t* whwc, int time_bits,
                       std::int64_t batch, const Kernels& K,
                       common::Arena& arena, std::int64_t* out_hwcb) {
+  const std::int64_t B = width<kB>(batch);
   const std::int64_t cin = conv.in_channels, cout = conv.out_channels;
   const std::int64_t k = conv.kernel, str = conv.stride, pad = conv.padding;
 
-  const std::int64_t strip_oh = hwc_strip_height(iw, cin, batch, k, str, oh);
+  const std::int64_t strip_oh = hwc_strip_height(iw, cin, B, k, str, oh);
   const std::int64_t rows_cap = std::min(ih, (strip_oh - 1) * str + k);
-  std::int64_t* tile = arena.alloc<std::int64_t>(rows_cap * iw * cin * batch);
-  std::int64_t* acc = arena.alloc<std::int64_t>(batch * cout);
+  std::int64_t* tile = arena.alloc<std::int64_t>(rows_cap * iw * cin * B);
+  std::int64_t* acc = arena.alloc<std::int64_t>(B * cout);
   const std::int64_t* bias = conv.bias.data();
   const std::int32_t* cf =
       conv.channel_frac.numel() > 0 ? conv.channel_frac.data() : nullptr;
@@ -376,30 +287,31 @@ void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
         std::max(ty0, std::min(ih, (oy1 - 1) * str + k - pad));
     for (std::int64_t c = 0; c < cin; ++c) {
       for (std::int64_t iy = ty0; iy < ty1; ++iy) {
-        const std::int64_t* srow = in + ((c * ih + iy) * iw) * batch;
+        const std::int64_t* srow = in + ((c * ih + iy) * iw) * B;
         for (std::int64_t ix = 0; ix < iw; ++ix)
-          std::memcpy(tile + (((iy - ty0) * iw + ix) * cin + c) * batch,
-                      srow + ix * batch,
-                      static_cast<std::size_t>(batch) * sizeof(std::int64_t));
+          std::memcpy(tile + (((iy - ty0) * iw + ix) * cin + c) * B,
+                      srow + ix * B,
+                      static_cast<std::size_t>(B) * sizeof(std::int64_t));
       }
     }
     for (std::int64_t oy = oy0; oy < oy1; ++oy) {
       for (std::int64_t ox = 0; ox < ow; ++ox) {
-        std::fill(acc, acc + batch * cout, std::int64_t{0});
+        std::fill(acc, acc + B * cout, std::int64_t{0});
         for (std::int64_t ky = 0; ky < k; ++ky) {
           const std::int64_t iy = oy * str + ky - pad;
           if (iy < 0 || iy >= ih) continue;
           for (std::int64_t kx = 0; kx < k; ++kx) {
             const std::int64_t ix = ox * str + kx - pad;
             if (ix < 0 || ix >= iw) continue;
-            const std::int64_t* px =
-                tile + ((iy - ty0) * iw + ix) * cin * batch;
+            const std::int64_t* px = tile + ((iy - ty0) * iw + ix) * cin * B;
             const std::int32_t* wk = whwc + (ky * k + kx) * cin * cout;
             for (std::int64_t ic = 0; ic < cin; ++ic) {
               const std::int32_t* wrow = wk + ic * cout;
-              const std::int64_t* a_b = px + ic * batch;
+              const std::int64_t* a_b = px + ic * B;
+              // [cin][cout] rows are contiguous across taps, so the
+              // prefetch rolls into the next tap's tile at block ends.
               prefetch_ro(wrow + kPrefetchRows * cout);
-              for (std::int64_t b = 0; b < batch; ++b) {
+              for (std::int64_t b = 0; b < B; ++b) {
                 const std::int64_t a = a_b[b];
                 if (a == 0) continue;
                 K.axpy_w32(acc + b * cout, wrow, a, cout);
@@ -407,8 +319,8 @@ void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
             }
           }
         }
-        std::int64_t* dst = out_hwcb + (oy * ow + ox) * batch * cout;
-        for (std::int64_t b = 0; b < batch; ++b) {
+        std::int64_t* dst = out_hwcb + (oy * ow + ox) * B * cout;
+        for (std::int64_t b = 0; b < B; ++b) {
           const std::int64_t* arow = acc + b * cout;
           std::int64_t* drow = dst + b * cout;
           if (conv.requantize) {
@@ -425,96 +337,62 @@ void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
   }
 }
 
-// --- Pool kernels ----------------------------------------------------------
+// --- Pool kernel -----------------------------------------------------------
 
-/// Average-pool one CHW plane into out (CHW), mirroring
-/// quant pool_forward: window sum then arithmetic right shift.
-void pool_plane(const std::int64_t* plane, std::int64_t iw, std::int64_t k,
-                int shift, std::int64_t oh, std::int64_t ow,
-                std::int64_t* out) {
-  for (std::int64_t oy = 0; oy < oh; ++oy) {
-    for (std::int64_t ox = 0; ox < ow; ++ox) {
-      std::int64_t acc = 0;
-      const std::int64_t* win = plane + oy * k * iw + ox * k;
-      for (std::int64_t ky = 0; ky < k; ++ky)
-        for (std::int64_t kx = 0; kx < k; ++kx) acc += win[ky * iw + kx];
-      out[oy * ow + ox] = acc >> shift;
-    }
-  }
-}
-
-/// Batched pool over one interleaved CHW plane: each window tap is an
+/// Average-pool one interleaved CHW plane, mirroring quant pool_forward:
+/// window sum then arithmetic right shift. Each window tap is an
 /// elementwise add of all B images' pixels. `acc` is caller scratch of B.
+template <int kB>
 void pool_plane_batched(const std::int64_t* plane, std::int64_t iw,
                         std::int64_t k, int shift, std::int64_t oh,
                         std::int64_t ow, std::int64_t batch, const Kernels& K,
                         std::int64_t* acc, std::int64_t* out) {
+  const std::int64_t B = width<kB>(batch);
   for (std::int64_t oy = 0; oy < oh; ++oy) {
     for (std::int64_t ox = 0; ox < ow; ++ox) {
-      std::fill(acc, acc + batch, std::int64_t{0});
-      const std::int64_t* win = plane + (oy * k * iw + ox * k) * batch;
+      std::fill(acc, acc + B, std::int64_t{0});
+      const std::int64_t* win = plane + (oy * k * iw + ox * k) * B;
       for (std::int64_t ky = 0; ky < k; ++ky)
         for (std::int64_t kx = 0; kx < k; ++kx)
-          K.add_i64(acc, win + (ky * iw + kx) * batch, batch);
-      std::int64_t* o = out + (oy * ow + ox) * batch;
-      for (std::int64_t b = 0; b < batch; ++b) o[b] = acc[b] >> shift;
+          add_pixel<kB>(K, acc, win + (ky * iw + kx) * B, B);
+      std::int64_t* o = out + (oy * ow + ox) * B;
+      for (std::int64_t b = 0; b < B; ++b) o[b] = acc[b] >> shift;
     }
   }
 }
 
-// --- Linear kernels --------------------------------------------------------
+// --- Linear kernel ---------------------------------------------------------
 
 /// Linear layer with the prepared transposed weights [in][out]: zero input
-/// codes (no spikes) skip their whole weight row; live rows are one
-/// contiguous SIMD axpy over the output features.
-void linear_fast(const QLinear& fc, const std::int64_t* in,
-                 const std::int32_t* wt, int time_bits, const Kernels& K,
-                 std::int64_t* out) {
-  const std::int64_t nin = fc.in_features, nout = fc.out_features;
-  std::fill(out, out + nout, std::int64_t{0});
-  for (std::int64_t i = 0; i < nin; ++i) {
-    const std::int64_t a = in[i];
-    if (a == 0) continue;
-    prefetch_ro(wt + (i + kPrefetchRows) * nout);
-    K.axpy_w32(out, wt + i * nout, a, nout);
-  }
-  const std::int64_t* bias = fc.bias.data();
-  if (!fc.requantize) {
-    for (std::int64_t o = 0; o < nout; ++o) out[o] += bias[o];
-    return;
-  }
-  const std::int32_t* cf =
-      fc.channel_frac.numel() > 0 ? fc.channel_frac.data() : nullptr;
-  for (std::int64_t o = 0; o < nout; ++o)
-    out[o] = quant::requantize_value(out[o], bias[o],
-                                     cf ? cf[o] : fc.frac_bits, time_bits);
-}
-
-/// Batched linear: per-image contiguous accumulator rows ([B][nout] in
-/// `scratch`), with each transposed weight row applied to all images while
-/// resident — the weight matrix is streamed once per batch instead of once
-/// per image. Output is re-interleaved image-minor into `out`.
+/// codes (no spikes) skip their weight row; live rows are one contiguous
+/// SIMD axpy over the output features into a per-image accumulator row
+/// ([B][nout]), so the weight matrix is streamed once per batch. The rows
+/// are re-interleaved image-minor into `out`; a single image accumulates
+/// straight into `out`, whose layout is then the same.
+template <int kB>
 void linear_fast_batched(const QLinear& fc, const std::int64_t* in,
                          const std::int32_t* wt, int time_bits,
                          std::int64_t batch, const Kernels& K,
-                         std::int64_t* scratch, std::int64_t* out) {
+                         common::Arena& arena, std::int64_t* out) {
+  const std::int64_t B = width<kB>(batch);
   const std::int64_t nin = fc.in_features, nout = fc.out_features;
-  std::fill(scratch, scratch + batch * nout, std::int64_t{0});
+  std::int64_t* acc = kB == 1 ? out : arena.alloc<std::int64_t>(B * nout);
+  std::fill(acc, acc + B * nout, std::int64_t{0});
   for (std::int64_t i = 0; i < nin; ++i) {
-    const std::int64_t* px = in + i * batch;
+    const std::int64_t* px = in + i * B;
     const std::int32_t* wrow = wt + i * nout;
     prefetch_ro(wrow + kPrefetchRows * nout);
-    for (std::int64_t b = 0; b < batch; ++b) {
+    for (std::int64_t b = 0; b < B; ++b) {
       const std::int64_t a = px[b];
       if (a == 0) continue;
-      K.axpy_w32(scratch + b * nout, wrow, a, nout);
+      K.axpy_w32(acc + b * nout, wrow, a, nout);
     }
   }
   const std::int64_t* bias = fc.bias.data();
   const std::int32_t* cf =
       fc.channel_frac.numel() > 0 ? fc.channel_frac.data() : nullptr;
-  for (std::int64_t b = 0; b < batch; ++b) {
-    std::int64_t* row = scratch + b * nout;
+  for (std::int64_t b = 0; b < B; ++b) {
+    std::int64_t* row = acc + b * nout;
     if (!fc.requantize) {
       for (std::int64_t o = 0; o < nout; ++o) row[o] += bias[o];
     } else {
@@ -522,7 +400,8 @@ void linear_fast_batched(const QLinear& fc, const std::int64_t* in,
         row[o] = quant::requantize_value(row[o], bias[o],
                                          cf ? cf[o] : fc.frac_bits, time_bits);
     }
-    for (std::int64_t o = 0; o < nout; ++o) out[o * batch + b] = row[o];
+    if constexpr (kB != 1)
+      for (std::int64_t o = 0; o < nout; ++o) out[o * B + b] = row[o];
   }
 }
 
@@ -583,187 +462,15 @@ FastPrepared prepare_fast_path(const ir::LayerProgram& program) {
   return prep;
 }
 
-void run_fast_path(const ir::LayerProgram& program, const FastPrepared& prep,
-                   common::Arena& arena, const TensorI& codes,
-                   std::size_t begin, std::size_t end, TensorI* boundary_codes,
-                   AccelRunResult& result) {
-  arena.reset();
-  const Kernels& K = common::simd::kernels();
-  const int T = program.time_bits();
-  const std::size_t n_layers = program.network().layers.size();
-  result.layers.reserve(end - begin);
-
-  // Activations travel between ops as dense int64 code tensors in CHW order
-  // (the canonical order of the reference model); HWC is an intra-op layout.
-  const std::int64_t n_in = codes.numel();
-  std::int64_t* cur = arena.alloc<std::int64_t>(n_in);
-  const std::int32_t* cp = codes.data();
-  for (std::int64_t i = 0; i < n_in; ++i) cur[i] = cp[i];
-
-  std::size_t li = begin;
-  while (li < end) {
-    const ir::LayerOp& op = program.op(li);
-    const bool network_final =
-        static_cast<std::size_t>(op.layer_index) + 1 == n_layers;
-    RSNN_ENSURE(op.requantize || network_final || op.kind == ir::OpKind::kPool ||
-                    op.kind == ir::OpKind::kFlatten,
-                "non-final layer must requantize");
-    LayerStats stats = annotated_stats(op);
-    stats.input_spikes = popcount_sum(cur, op.in_shape.numel());
-    const FastPrepared::OpPrep& p = prep.ops[li];
-    std::size_t consumed = 1;
-
-    switch (op.kind) {
-      case ir::OpKind::kFlatten: {
-        // CHW -> flat is the identity on a contiguous buffer; the op only
-        // moves data between the 2-D and 1-D ping-pong pairs.
-        stats.adder_ops = 0;
-        accumulate_layer(result, std::move(stats));
-        break;
-      }
-      case ir::OpKind::kConv: {
-        const QConv2d& conv = *op.conv;
-        const std::int64_t ih = op.in_shape.dim(1), iw = op.in_shape.dim(2);
-        const std::int64_t oh = op.out_shape.dim(1), ow = op.out_shape.dim(2);
-        const std::int64_t cout = conv.out_channels;
-        stats.adder_ops =
-            conv_adder_ops(cur, conv.in_channels, ih, iw, p.county.data(),
-                           p.countx.data(), cout);
-        // A fused pair must lie entirely inside the executed range: a conv
-        // at a segment cut runs unfused so the boundary codes stay its own.
-        const bool fuse = op.fuse_with_next && li + 1 < end;
-        if (!fuse) {
-          std::int64_t* out = arena.alloc<std::int64_t>(cout * oh * ow);
-          if (op.fast_layout == DataLayout::kHwc) {
-            std::int64_t* out_hwc = arena.alloc<std::int64_t>(oh * ow * cout);
-            conv_hwc(conv, cur, ih, iw, oh, ow, p.weights.data(), T, K, arena,
-                     out_hwc);
-            for (std::int64_t oc = 0; oc < cout; ++oc)
-              for (std::int64_t i = 0; i < oh * ow; ++i)
-                out[oc * oh * ow + i] = out_hwc[i * cout + oc];
-          } else {
-            for (std::int64_t oc = 0; oc < cout; ++oc) {
-              std::int64_t* plane = out + oc * oh * ow;
-              conv_channel_chw(conv, cur, ih, iw, oh, ow, oc, K, plane);
-              finish_channel(conv, oc, T, plane, oh * ow);
-            }
-          }
-          accumulate_layer(result, std::move(stats));
-          cur = out;
-          break;
-        }
-
-        // Fused conv+pool: the pool consumes conv codes straight from
-        // scratch, skipping the intermediate CHW activation tensor. Both
-        // ops' stats are emitted exactly as if they ran back to back.
-        const ir::LayerOp& pool_op = program.op(li + 1);
-        const QPool2d& pool = *pool_op.pool;
-        const std::int64_t k = pool.kernel;
-        const std::int64_t poh = pool_op.out_shape.dim(1);
-        const std::int64_t pow_ = pool_op.out_shape.dim(2);
-        LayerStats pool_stats = annotated_stats(pool_op);
-        std::int64_t* out = arena.alloc<std::int64_t>(cout * poh * pow_);
-        if (op.fast_layout == DataLayout::kHwc) {
-          std::int64_t* out_hwc = arena.alloc<std::int64_t>(oh * ow * cout);
-          conv_hwc(conv, cur, ih, iw, oh, ow, p.weights.data(), T, K, arena,
-                   out_hwc);
-          pool_stats.input_spikes = popcount_sum(out_hwc, oh * ow * cout);
-          std::int64_t covered = 0;
-          for (std::int64_t y = 0; y < oh; ++y) {
-            const bool y_covered = y / k < poh;
-            for (std::int64_t x = 0; x < ow; ++x) {
-              if (y_covered && x / k < pow_)
-                covered += popcount_sum(out_hwc + (y * ow + x) * cout, cout);
-            }
-          }
-          pool_stats.adder_ops = covered;
-          std::int64_t* pacc = arena.alloc<std::int64_t>(cout);
-          for (std::int64_t py = 0; py < poh; ++py) {
-            for (std::int64_t px = 0; px < pow_; ++px) {
-              std::fill(pacc, pacc + cout, std::int64_t{0});
-              for (std::int64_t ky = 0; ky < k; ++ky) {
-                for (std::int64_t kx = 0; kx < k; ++kx) {
-                  const std::int64_t* src =
-                      out_hwc + ((py * k + ky) * ow + px * k + kx) * cout;
-                  K.add_i64(pacc, src, cout);
-                }
-              }
-              for (std::int64_t oc = 0; oc < cout; ++oc)
-                out[(oc * poh + py) * pow_ + px] = pacc[oc] >> pool.shift;
-            }
-          }
-        } else {
-          std::int64_t* plane = arena.alloc<std::int64_t>(oh * ow);
-          std::int64_t conv_spikes = 0, covered = 0;
-          for (std::int64_t oc = 0; oc < cout; ++oc) {
-            conv_channel_chw(conv, cur, ih, iw, oh, ow, oc, K, plane);
-            finish_channel(conv, oc, T, plane, oh * ow);
-            conv_spikes += popcount_sum(plane, oh * ow);
-            covered += pool_covered_spikes(plane, 1, oh, ow, k, poh, pow_);
-            pool_plane(plane, ow, k, pool.shift, poh, pow_,
-                       out + oc * poh * pow_);
-          }
-          pool_stats.input_spikes = conv_spikes;
-          pool_stats.adder_ops = covered;
-        }
-        accumulate_layer(result, std::move(stats));
-        accumulate_layer(result, std::move(pool_stats));
-        cur = out;
-        consumed = 2;
-        break;
-      }
-      case ir::OpKind::kPool: {
-        const QPool2d& pool = *op.pool;
-        const std::int64_t ch = op.in_shape.dim(0);
-        const std::int64_t ih = op.in_shape.dim(1), iw = op.in_shape.dim(2);
-        const std::int64_t oh = op.out_shape.dim(1), ow = op.out_shape.dim(2);
-        stats.adder_ops =
-            pool_covered_spikes(cur, ch, ih, iw, pool.kernel, oh, ow);
-        std::int64_t* out = arena.alloc<std::int64_t>(ch * oh * ow);
-        for (std::int64_t c = 0; c < ch; ++c)
-          pool_plane(cur + c * ih * iw, iw, pool.kernel, pool.shift, oh, ow,
-                     out + c * oh * ow);
-        accumulate_layer(result, std::move(stats));
-        cur = out;
-        break;
-      }
-      case ir::OpKind::kLinear: {
-        const QLinear& fc = *op.linear;
-        stats.adder_ops = stats.input_spikes * fc.out_features;
-        std::int64_t* out = arena.alloc<std::int64_t>(fc.out_features);
-        linear_fast(fc, cur, p.weights.data(), T, K, out);
-        accumulate_layer(result, std::move(stats));
-        cur = out;
-        break;
-      }
-    }
-
-    li += consumed;
-    const ir::LayerOp& last_op = program.op(li - 1);
-    const std::int64_t out_numel = last_op.out_shape.numel();
-    if (static_cast<std::size_t>(last_op.layer_index) + 1 == n_layers) {
-      result.logits.assign(cur, cur + out_numel);
-    } else if (li == end && boundary_codes) {
-      TensorI boundary(last_op.out_shape);
-      std::int32_t* bp = boundary.data();
-      for (std::int64_t i = 0; i < out_numel; ++i)
-        bp[i] = static_cast<std::int32_t>(cur[i]);
-      *boundary_codes = std::move(boundary);
-    }
-  }
-
-  finalize_run(result, program.config().cycle_ns());
-}
-
-// --- Batched slice execution ------------------------------------------------
+// --- Slice execution --------------------------------------------------------
 //
 // A "slice" is a contiguous sub-range of the batch with its own arena,
 // image-minor interleaved activation buffer and per-image counter scratch.
-// The sequential batched kernel runs ONE slice covering the whole batch; the
-// parallel kernel seats one slice per task-pool slot and fork/joins every
-// step. Both therefore execute the same per-slice code on the same prepared
-// pack — the parallel path's per-image bit-identity is structural, not
-// re-proven arithmetic.
+// The sequential entry runs ONE slice covering the whole batch (a single
+// image is a slice of one); the parallel driver seats one slice per
+// task-pool slot and fork/joins every step. Both therefore execute the same
+// per-slice code on the same prepared pack — the parallel path's per-image
+// bit-identity is structural, not re-proven arithmetic.
 namespace {
 
 struct BatchSlice {
@@ -780,7 +487,8 @@ struct BatchSlice {
 };
 
 /// Ops consumed by the step starting at `li`: 2 for a fused conv+pool pair
-/// lying entirely inside the executed range, else 1. A property of the
+/// lying entirely inside the executed range, else 1 — a conv at a segment
+/// cut runs unfused so the boundary codes stay its own. A property of the
 /// program alone — every slice of a batch steps through ops identically,
 /// which is what lets the parallel driver advance all slices in lockstep.
 std::size_t ops_consumed(const ir::LayerProgram& program, std::size_t li,
@@ -793,10 +501,11 @@ std::size_t ops_consumed(const ir::LayerProgram& program, std::size_t li,
 
 /// Rewind the slice's arena and stage its inputs: counter scratch first (so
 /// the arena round is stable), then the interleaved activation buffer.
+template <int kB>
 void init_slice(std::size_t begin, std::size_t end, BatchSlice& s) {
   common::Arena& arena = *s.arena;
   arena.reset();
-  const std::int64_t B = s.B;
+  const std::int64_t B = width<kB>(s.B);
   for (std::int64_t b = 0; b < B; ++b) s.results[b].layers.reserve(end - begin);
 
   s.spikes = arena.alloc<std::int64_t>(B);
@@ -804,8 +513,6 @@ void init_slice(std::size_t begin, std::size_t end, BatchSlice& s) {
   s.pool_spikes = arena.alloc<std::int64_t>(B);
   s.pool_covered = arena.alloc<std::int64_t>(B);
 
-  // Activations travel between ops interleaved image-minor: cur[i*B + b] is
-  // element i (CHW order) of image b.
   const std::int64_t n_in = s.codes[0].numel();
   s.cur = arena.alloc<std::int64_t>(n_in * B);
   for (std::int64_t b = 0; b < B; ++b) {
@@ -818,11 +525,12 @@ void init_slice(std::size_t begin, std::size_t end, BatchSlice& s) {
 
 /// Execute the step starting at op `li` (one op, or a fused conv+pool pair)
 /// on one slice, including the end-of-range logit / boundary emission.
+template <int kB>
 void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
                   const Kernels& K, int T, std::size_t n_layers, std::size_t li,
                   std::size_t end, BatchSlice& s) {
   common::Arena& arena = *s.arena;
-  const std::int64_t B = s.B;
+  const std::int64_t B = width<kB>(s.B);
   AccelRunResult* results = s.results;
   std::int64_t* spikes = s.spikes;
   std::int64_t* adder = s.adder;
@@ -836,12 +544,14 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
   RSNN_ENSURE(op.requantize || network_final || op.kind == ir::OpKind::kPool ||
                   op.kind == ir::OpKind::kFlatten,
               "non-final layer must requantize");
-  popcount_per_image(cur, op.in_shape.numel(), B, spikes);
+  popcount_per_image<kB>(cur, op.in_shape.numel(), B, spikes);
   const FastPrepared::OpPrep& p = prep.ops[li];
   const std::size_t consumed = ops_consumed(program, li, end);
 
   switch (op.kind) {
     case ir::OpKind::kFlatten: {
+      // CHW -> flat is the identity on a contiguous buffer; the op only
+      // moves data between the 2-D and 1-D ping-pong pairs.
       for (std::int64_t b = 0; b < B; ++b) {
         LayerStats stats = annotated_stats(op);
         stats.input_spikes = spikes[b];
@@ -855,14 +565,15 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
       const std::int64_t ih = op.in_shape.dim(1), iw = op.in_shape.dim(2);
       const std::int64_t oh = op.out_shape.dim(1), ow = op.out_shape.dim(2);
       const std::int64_t cout = conv.out_channels;
-      conv_adder_ops_per_image(cur, conv.in_channels, ih, iw, p.county.data(),
-                               p.countx.data(), cout, B, adder);
+      conv_adder_ops_per_image<kB>(cur, conv.in_channels, ih, iw,
+                                   p.county.data(), p.countx.data(), cout, B,
+                                   adder);
       if (consumed == 1) {  // unfused
         std::int64_t* out = arena.alloc<std::int64_t>(cout * oh * ow * B);
         if (op.fast_layout == DataLayout::kHwc) {
           std::int64_t* out_hwcb = arena.alloc<std::int64_t>(oh * ow * B * cout);
-          conv_hwc_batched(conv, cur, ih, iw, oh, ow, p.weights.data(), T, B, K,
-                           arena, out_hwcb);
+          conv_hwc_batched<kB>(conv, cur, ih, iw, oh, ow, p.weights.data(), T,
+                               B, K, arena, out_hwcb);
           for (std::int64_t i = 0; i < oh * ow; ++i)
             for (std::int64_t b = 0; b < B; ++b) {
               const std::int64_t* src = out_hwcb + (i * B + b) * cout;
@@ -872,8 +583,8 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
         } else {
           for (std::int64_t oc = 0; oc < cout; ++oc) {
             std::int64_t* plane = out + oc * oh * ow * B;
-            conv_channel_chw_batched(conv, cur, ih, iw, oh, ow, oc, B, K,
-                                     plane);
+            conv_channel_chw_batched<kB>(conv, cur, ih, iw, oh, ow, oc, B, K,
+                                         plane);
             finish_channel(conv, oc, T, plane, oh * ow * B);
           }
         }
@@ -888,7 +599,8 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
       }
 
       // Fused conv+pool: the pool consumes conv codes straight from scratch,
-      // skipping the intermediate CHW activation tensor.
+      // skipping the intermediate CHW activation tensor. Both ops' stats are
+      // emitted exactly as if they ran back to back.
       const ir::LayerOp& pool_op = program.op(li + 1);
       const QPool2d& pool = *pool_op.pool;
       const std::int64_t k = pool.kernel;
@@ -897,8 +609,8 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
       std::int64_t* out = arena.alloc<std::int64_t>(cout * poh * pow_ * B);
       if (op.fast_layout == DataLayout::kHwc) {
         std::int64_t* out_hwcb = arena.alloc<std::int64_t>(oh * ow * B * cout);
-        conv_hwc_batched(conv, cur, ih, iw, oh, ow, p.weights.data(), T, B, K,
-                         arena, out_hwcb);
+        conv_hwc_batched<kB>(conv, cur, ih, iw, oh, ow, p.weights.data(), T, B,
+                             K, arena, out_hwcb);
         std::fill(pool_spikes, pool_spikes + B, std::int64_t{0});
         std::fill(pool_covered, pool_covered + B, std::int64_t{0});
         for (std::int64_t y = 0; y < oh; ++y) {
@@ -935,7 +647,8 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
         std::fill(pool_spikes, pool_spikes + B, std::int64_t{0});
         std::fill(pool_covered, pool_covered + B, std::int64_t{0});
         for (std::int64_t oc = 0; oc < cout; ++oc) {
-          conv_channel_chw_batched(conv, cur, ih, iw, oh, ow, oc, B, K, plane);
+          conv_channel_chw_batched<kB>(conv, cur, ih, iw, oh, ow, oc, B, K,
+                                       plane);
           finish_channel(conv, oc, T, plane, oh * ow * B);
           const std::int64_t* q = plane;
           for (std::int64_t y = 0; y < oh; ++y) {
@@ -950,8 +663,8 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
               }
             }
           }
-          pool_plane_batched(plane, ow, k, pool.shift, poh, pow_, B, K, pacc,
-                             out + oc * poh * pow_ * B);
+          pool_plane_batched<kB>(plane, ow, k, pool.shift, poh, pow_, B, K,
+                                 pacc, out + oc * poh * pow_ * B);
         }
       }
       for (std::int64_t b = 0; b < B; ++b) {
@@ -972,12 +685,14 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
       const std::int64_t ch = op.in_shape.dim(0);
       const std::int64_t ih = op.in_shape.dim(1), iw = op.in_shape.dim(2);
       const std::int64_t oh = op.out_shape.dim(1), ow = op.out_shape.dim(2);
-      pool_covered_per_image(cur, ch, ih, iw, pool.kernel, oh, ow, B, adder);
+      pool_covered_per_image<kB>(cur, ch, ih, iw, pool.kernel, oh, ow, B,
+                                 adder);
       std::int64_t* out = arena.alloc<std::int64_t>(ch * oh * ow * B);
       std::int64_t* pacc = arena.alloc<std::int64_t>(B);
       for (std::int64_t c = 0; c < ch; ++c)
-        pool_plane_batched(cur + c * ih * iw * B, iw, pool.kernel, pool.shift,
-                           oh, ow, B, K, pacc, out + c * oh * ow * B);
+        pool_plane_batched<kB>(cur + c * ih * iw * B, iw, pool.kernel,
+                               pool.shift, oh, ow, B, K, pacc,
+                               out + c * oh * ow * B);
       for (std::int64_t b = 0; b < B; ++b) {
         LayerStats stats = annotated_stats(op);
         stats.input_spikes = spikes[b];
@@ -990,8 +705,7 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
     case ir::OpKind::kLinear: {
       const QLinear& fc = *op.linear;
       std::int64_t* out = arena.alloc<std::int64_t>(fc.out_features * B);
-      std::int64_t* scratch = arena.alloc<std::int64_t>(B * fc.out_features);
-      linear_fast_batched(fc, cur, p.weights.data(), T, B, K, scratch, out);
+      linear_fast_batched<kB>(fc, cur, p.weights.data(), T, B, K, arena, out);
       for (std::int64_t b = 0; b < B; ++b) {
         LayerStats stats = annotated_stats(op);
         stats.input_spikes = spikes[b];
@@ -1024,6 +738,26 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
   s.cur = cur;
 }
 
+// Each slice picks its kernel instance from its own width: a single-image
+// slice (the serving replica's usual dispatch, or the one-image tail of an
+// uneven parallel split) runs kB = 1, every wider slice kB = 0.
+
+void start_slice(std::size_t begin, std::size_t end, BatchSlice& s) {
+  if (s.B == 1)
+    init_slice<1>(begin, end, s);
+  else
+    init_slice<0>(begin, end, s);
+}
+
+void step_slice(const ir::LayerProgram& program, const FastPrepared& prep,
+                const Kernels& K, int T, std::size_t n_layers, std::size_t li,
+                std::size_t end, BatchSlice& s) {
+  if (s.B == 1)
+    run_slice_op<1>(program, prep, K, T, n_layers, li, end, s);
+  else
+    run_slice_op<0>(program, prep, K, T, n_layers, li, end, s);
+}
+
 }  // namespace
 
 void run_fast_path_batched(const ir::LayerProgram& program,
@@ -1042,9 +776,9 @@ void run_fast_path_batched(const ir::LayerProgram& program,
   s.codes = codes;
   s.results = results;
   s.boundary = boundary_codes;
-  init_slice(begin, end, s);
+  start_slice(begin, end, s);
   for (std::size_t li = begin; li < end; li += ops_consumed(program, li, end))
-    run_slice_op(program, prep, K, T, n_layers, li, end, s);
+    step_slice(program, prep, K, T, n_layers, li, end, s);
 
   const double cycle_ns = program.config().cycle_ns();
   for (std::size_t b = 0; b < batch; ++b) finalize_run(results[b], cycle_ns);
@@ -1095,11 +829,11 @@ void run_fast_path_batched_parallel(const ir::LayerProgram& program,
   // Fork/join once per step: every slice executes the SAME op over its own
   // images, so all cores stream one shared weight tap sequence — the taps a
   // slice pulls into the shared cache are the taps its siblings need next.
-  pool.run(n_slices, [&](std::size_t c) { init_slice(begin, end, slices[c]); });
+  pool.run(n_slices, [&](std::size_t c) { start_slice(begin, end, slices[c]); });
   for (std::size_t li = begin; li < end;
        li += ops_consumed(program, li, end)) {
     pool.run(n_slices, [&](std::size_t c) {
-      run_slice_op(program, prep, K, T, n_layers, li, end, slices[c]);
+      step_slice(program, prep, K, T, n_layers, li, end, slices[c]);
     });
   }
 

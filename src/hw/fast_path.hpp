@@ -21,11 +21,18 @@
 // SimMode::kStepped for every layout/fusion plan, which
 // tests/test_fastpath.cpp sweeps exhaustively.
 //
+// One kernel family: every kernel runs over an image-minor interleaved
+// batch and is instantiated twice — at compile-time batch width 1 and at a
+// run-time width. A single-image run is the width-1 instance of the batch
+// path, not a separate code path, and each batch slice picks its instance
+// from its own size.
+//
 // Memory model: all intermediate activation buffers are bump-allocated from
-// a per-worker common::Arena that is rewound per inference — a warm worker
+// a per-worker common::Arena that is rewound per run — a warm worker
 // performs zero heap allocation (tested). Weight repacks and coverage tables
-// live in a FastPrepared built once per Accelerator and shared read-only by
-// all of its workers.
+// live in an immutable FastPrepared that shared_fast_prepared() hands out
+// process-wide: every Accelerator lowered from the same program, and so
+// every replica and worker, reads the same pack.
 #pragma once
 
 #include <cstdint>
@@ -77,40 +84,33 @@ std::shared_ptr<const FastPrepared> shared_fast_prepared(
 /// replica-sharing guarantee ("N replicas, one build") by accounting.
 std::uint64_t fast_prepared_build_count();
 
-/// Execute ops [begin, end) of `program` on the fast path, appending per-op
-/// stats to `result` (which the caller has reset). Fills `result.logits`
-/// when the range contains the network's final layer; writes the activation
-/// codes crossing the downstream cut to `boundary_codes` (if non-null) when
-/// it does not. Scratch comes from `arena` (rewound here, per inference).
-void run_fast_path(const ir::LayerProgram& program, const FastPrepared& prep,
-                   common::Arena& arena, const TensorI& codes,
-                   std::size_t begin, std::size_t end, TensorI* boundary_codes,
-                   AccelRunResult& result);
-
-/// Batched variant: execute ops [begin, end) for `batch` images in one
-/// prepared-weight traversal — every weight tile is loaded once and applied
-/// to all images before moving on, amortizing the memory traffic that
-/// dominates per-image runs. Activations travel interleaved image-minor
-/// (`buf[idx * batch + b]`) so the batched kernels stay dense.
+/// Execute ops [begin, end) of `program` on the fast path for `batch`
+/// images in one prepared-weight traversal — every weight tile is loaded
+/// once and applied to all images before moving on, amortizing the memory
+/// traffic that dominates per-image runs. A single image is `batch == 1`.
+/// Activations travel interleaved image-minor (`buf[idx * batch + b]`) so
+/// the kernels stay dense; scratch comes from `arena` (rewound here).
 ///
-/// `codes` points at `batch` equally-shaped tensors; `results` at `batch`
-/// caller-reset results, filled exactly as `batch` independent
-/// run_fast_path() calls would fill them (bit-identical logits and
-/// counters — the batch only reorders independent integer updates). When
-/// the range stops short of the final layer and `boundary_codes` is
-/// non-null it must also point at `batch` tensors.
+/// `codes` points at `batch` equally-shaped tensors shaped as op `begin`'s
+/// input; `results` at `batch` caller-reset results, each filled with its
+/// image's per-op stats — logits and counters bit-identical to a stepped
+/// run of that image alone (the batch only reorders independent integer
+/// updates). Fills `logits` when the range contains the network's final
+/// layer; otherwise, when `boundary_codes` is non-null, it must point at
+/// `batch` tensors and receives the activation codes crossing the
+/// downstream cut.
 void run_fast_path_batched(const ir::LayerProgram& program,
                            const FastPrepared& prep, common::Arena& arena,
                            const TensorI* codes, std::size_t batch,
                            std::size_t begin, std::size_t end,
                            TensorI* boundary_codes, AccelRunResult* results);
 
-/// Multi-core batched variant: the batch splits into at most `threads`
+/// Multi-core variant: the batch splits into at most `threads`
 /// contiguous image slices and every op is executed fork/join on `pool` —
 /// all slices traverse the same prepared weight pack concurrently, so the
 /// taps a slice loads into the shared cache are the taps every other slice
-/// needs next. Each slice is the sequential batched kernel over its
-/// sub-range (same code path, its own slot arena), so per-image logits and
+/// needs next. Each slice is the sequential kernel over its sub-range
+/// (same code path, its own slot arena), so per-image logits and
 /// accounting are bit-identical to run_fast_path_batched() by construction,
 /// and warm runs allocate nothing. Degrades to the sequential kernel on
 /// pool.arena(0) when fewer than two slices make sense. Acquires the pool

@@ -282,16 +282,20 @@ TEST(FastPath, WarmEngineDispatchAllocatesNothing) {
   cfg.linear = LinearUnitGeometry{8, 24};
   const ir::LayerProgram program = ir::lower(qnet, cfg);
 
-  // The call a monolithic serving replica makes per dispatch.
+  // The call a monolithic serving replica makes per dispatch, at a batch of
+  // four (the run-time-width kernels) and at its usual batch of one (the
+  // width-1 instance).
   auto engine =
       engine::make_engine(engine::EngineKind::kCycleAccurate, program);
   std::vector<TensorI> batch(
       4, quant::encode_activations(random_image(qnet.input_shape, rng),
                                    qnet.time_bits));
   std::vector<AccelRunResult> results(batch.size());
+  AccelRunResult single;
   const auto run = [&] {
     engine->run_codes_batched_into(batch.data(), batch.size(),
                                    results.data());
+    engine->run_codes_batched_into(batch.data(), 1, &single);
   };
   // Two warm batches: the first builds the prepared weights and sizes every
   // scratch buffer; the second consolidates the arena's primary chunk.
@@ -308,6 +312,7 @@ TEST(FastPath, WarmEngineDispatchAllocatesNothing) {
   EXPECT_EQ(after - before, 0u)
       << "warm fast-path batched inference must not touch the heap";
   expect_bit_identical(results.at(0), warm);
+  expect_bit_identical(single, warm);
 #endif
 }
 
@@ -386,14 +391,20 @@ std::vector<TensorI> random_code_batch(const quant::QuantizedNetwork& qnet,
 }
 
 /// Batched runs over every prefix size in `batch_sizes` must match the
-/// sequential per-image runs record for record.
+/// sequential per-image runs record for record — and both must match the
+/// stepped dataflow. On the fast path run_codes_into() is the same kernel
+/// at batch width 1, so without the stepped reference a sweep that
+/// includes B=1 would compare the kernel with itself.
 void expect_batched_matches_sequential(
     const Accelerator& accel, const std::vector<TensorI>& codes,
     std::initializer_list<std::size_t> batch_sizes, SimMode mode) {
   Accelerator::WorkerState state = accel.make_worker_state();
   std::vector<AccelRunResult> sequential(codes.size());
-  for (std::size_t i = 0; i < codes.size(); ++i)
+  std::vector<AccelRunResult> stepped(codes.size());
+  for (std::size_t i = 0; i < codes.size(); ++i) {
     accel.run_codes_into(state, codes[i], sequential[i], mode);
+    stepped[i] = accel.run_codes(state, codes[i], SimMode::kStepped);
+  }
 
   for (const std::size_t batch : batch_sizes) {
     SCOPED_TRACE("batch=" + std::to_string(batch));
@@ -404,6 +415,7 @@ void expect_batched_matches_sequential(
     for (std::size_t b = 0; b < batch; ++b) {
       SCOPED_TRACE("image " + std::to_string(b));
       expect_bit_identical(results[b], sequential[b]);
+      expect_bit_identical(results[b], stepped[b]);
     }
   }
 }
@@ -601,7 +613,9 @@ TEST(FastPathParallel, LeNetThreadSweepAllPlanVariantsMatchSequential) {
     cfg.fast_path.layout = variant.layout;
     cfg.fast_path.fuse_conv_pool = variant.fuse;
     // threads=5 leaves a remainder: the batch of 8 splits 2+2+2+1+1, so
-    // the uneven-slice bookkeeping is exercised too.
+    // the uneven-slice bookkeeping is exercised too, and one fork runs both
+    // kernel instances — run-time width on the 2-image slices, width 1 on
+    // the single-image ones.
     expect_parallel_matches_sequential(cfg, qnet, codes, {1, 2, 5, hc});
   }
 }

@@ -87,7 +87,7 @@ run_config "Release" build-check-release -DCMAKE_BUILD_TYPE=Release
 echo "==== [Release] forced-scalar dispatch (RSNN_FORCE_SCALAR=1) ===="
 if ! RSNN_FORCE_SCALAR=1 ctest --test-dir build-check-release \
     --output-on-failure -j "$JOBS" \
-    -R 'test_fastpath|test_equivalence_packed'; then
+    -R 'test_fastpath|test_equivalence_packed|test_property|test_hw'; then
   echo "==== [Release] FAILED: forced-scalar ctest ===="
   exit 1
 fi
