@@ -154,6 +154,20 @@ double time_ns_per_call(int samples, Fn&& fn) {
          samples;
 }
 
+/// Time one warm batch through `pipe` (after one warm-up batch) — a
+/// pipeline entry with its images/sec.
+BenchResult time_pipeline(std::string name, engine::PipelineExecutor& pipe,
+                          const std::vector<TensorI>& batch) {
+  BenchResult r;
+  r.name = std::move(name);
+  r.ns_per_inference =
+      time_ns_per_call(1, [&] { pipe.run_pipeline(batch); }) /
+      static_cast<double>(batch.size());
+  r.samples = static_cast<int>(batch.size());
+  r.images_per_sec = 1e9 / r.ns_per_inference;
+  return r;
+}
+
 /// Parse the (name, ns_per_inference) pairs out of a microbench JSON file.
 /// Only understands the format run_json_mode() writes — that is the point:
 /// the baseline being compared against is a previous run of this tool.
@@ -396,26 +410,19 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
            samples});
     }
 
-    // Pipeline-parallel throughput: the program partitioned into 2 and 4
-    // latency-balanced stages, one simulated accelerator per stage
-    // (pipeline_images_per_sec in the serving-metric family).
+    // Partitioned throughput: the program cut into 2 and 4 latency-balanced
+    // stages, one simulated accelerator per stage, run in sequence.
     for (const int stages : {2, 4}) {
       const auto segments =
           compiler::partition_balance_latency(program, stages);
       engine::PipelineExecutor pipe(program, segments,
                                     engine::EngineKind::kCycleAccurate);
-      std::vector<TensorI> pipe_batch(
+      const std::vector<TensorI> pipe_batch(
           static_cast<std::size_t>(std::max(8, samples)), codes);
-      pipe.run_pipeline(pipe_batch);  // warm the stages
-      pipe.run_pipeline(pipe_batch);
-      const engine::PipelineStats stats = pipe.last_stats();
-      BenchResult r;
-      r.name = "pipeline" + std::to_string(stages) +
-               "stage_cycle_accurate_lenet_t8";
-      r.ns_per_inference = stats.ns_per_inference;
-      r.samples = static_cast<int>(stats.images);
-      r.images_per_sec = stats.images_per_sec;
-      results.push_back(r);
+      results.push_back(time_pipeline(
+          "pipeline" + std::to_string(stages) +
+              "stage_cycle_accurate_lenet_t8",
+          pipe, pipe_batch));
     }
   }
 
@@ -436,17 +443,10 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
                                   engine::EngineKind::kCycleAccurate);
     const TensorF image = random_image(Shape{3, 32, 32}, vrng);
     const TensorI codes = quant::encode_activations(image, qnet.time_bits);
-    std::vector<TensorI> batch(
+    const std::vector<TensorI> batch(
         static_cast<std::size_t>(std::max(4, samples / 8)), codes);
-    pipe.run_pipeline(batch);  // warm the stages
-    pipe.run_pipeline(batch);
-    const engine::PipelineStats stats = pipe.last_stats();
-    BenchResult r;
-    r.name = "pipeline4stage_relowered_vgg11";
-    r.ns_per_inference = stats.ns_per_inference;
-    r.samples = static_cast<int>(stats.images);
-    r.images_per_sec = stats.images_per_sec;
-    results.push_back(r);
+    results.push_back(
+        time_pipeline("pipeline4stage_relowered_vgg11", pipe, batch));
 
     // VGG-11 through the monolithic accelerator's parallel batched fast
     // path: 8 distinct images, one slice per hardware thread, all slices
@@ -505,17 +505,10 @@ int run_json_mode(const std::string& path, int samples, bool tiny,
       const auto segments = compiler::partition_balance_latency(program, 2);
       engine::PipelineExecutor pipe(program, segments,
                                     engine::EngineKind::kCycleAccurate);
-      std::vector<TensorI> batch(
+      const std::vector<TensorI> batch(
           static_cast<std::size_t>(std::max(16, samples * 4)), codes);
-      pipe.run_pipeline(batch);  // warm the stages
-      pipe.run_pipeline(batch);
-      const engine::PipelineStats stats = pipe.last_stats();
-      BenchResult r;
-      r.name = "pipeline2stage_cycle_accurate_small_t4";
-      r.ns_per_inference = stats.ns_per_inference;
-      r.samples = static_cast<int>(stats.images);
-      r.images_per_sec = stats.images_per_sec;
-      results.push_back(r);
+      results.push_back(time_pipeline(
+          "pipeline2stage_cycle_accurate_small_t4", pipe, batch));
     }
   }
 

@@ -1,6 +1,8 @@
 // Program partitioning: choose the cut points that split a lowered
-// LayerProgram into ir::ProgramSegments for pipeline-parallel execution
-// across multiple accelerator instances (engine::PipelineExecutor).
+// LayerProgram into ir::ProgramSegments, one per accelerator instance of a
+// multi-device pipeline. engine::PipelineExecutor runs the stages in
+// sequence on one host thread; the devices' overlap is modeled in cycles
+// (the slowest stage bounds throughput, below).
 //
 // Two strategies:
 //   * balance_latency — equalize predicted per-segment cycles. The pipeline's

@@ -62,18 +62,12 @@ class AcceleratorEngine final : public Engine {
                                        &out.boundary_codes);
     return out;
   }
-  void run_codes_into(const TensorI& codes, hw::AccelRunResult& out) override {
-    RSNN_REQUIRE(program_.whole_network() && segment_.begin == 0 &&
-                     segment_.final_segment,
-                 "run_codes_into needs a whole-program engine");
-    accel_.run_codes_into(state_, codes, out, mode_);
-  }
   void run_codes_batched_into(const TensorI* codes, std::size_t count,
-                              hw::AccelRunResult* results) override {
-    RSNN_REQUIRE(program_.whole_network() && segment_.begin == 0 &&
-                     segment_.final_segment,
-                 "run_codes_batched_into needs a whole-program engine");
-    accel_.run_codes_batched_into(state_, codes, count, results, mode_);
+                              hw::AccelRunResult* results,
+                              TensorI* boundary_codes) override {
+    accel_.run_codes_batched_into(state_, codes, count, results, mode_,
+                                  segment_.begin, segment_.end,
+                                  boundary_codes);
   }
 
  private:
@@ -206,14 +200,15 @@ hw::AccelRunResult Engine::run_image(const TensorF& image) {
   return run_codes(quant::encode_activations(image, program_.time_bits()));
 }
 
-void Engine::run_codes_into(const TensorI& codes, hw::AccelRunResult& out) {
-  out = run_codes(codes);
-}
-
 void Engine::run_codes_batched_into(const TensorI* codes, std::size_t count,
-                                    hw::AccelRunResult* results) {
-  for (std::size_t i = 0; i < count; ++i)
-    run_codes_into(codes[i], results[i]);
+                                    hw::AccelRunResult* results,
+                                    TensorI* boundary_codes) {
+  for (std::size_t i = 0; i < count; ++i) {
+    SegmentRunResult segment = run_segment(codes[i]);
+    results[i] = std::move(segment.stats);
+    if (boundary_codes != nullptr)
+      boundary_codes[i] = std::move(segment.boundary_codes);
+  }
 }
 
 std::unique_ptr<Engine> make_engine(EngineKind kind,

@@ -17,15 +17,17 @@
 //     directly over the program; timing and traffic from the annotations.
 //
 // Engines are not thread-safe: each one owns pre-allocated execution state
-// (the cycle-accurate engine owns an Accelerator::WorkerState), so create
-// one per thread — a serving replica owns one, a pipeline one per stage.
+// (the cycle-accurate engine owns an Accelerator::WorkerState), so use each
+// from one thread at a time — a serving replica (engine::PipelineExecutor)
+// owns one per stage and runs them all on its own thread.
 //
 // Segment scope: an engine executes one ir::ProgramSegment — by default the
 // whole program, but make_engine(kind, program, segment) builds a stage
-// engine over a sub-program for pipeline-parallel execution. run_segment()
-// is the uniform entry point: it consumes the activation codes entering the
-// segment and yields per-op stats plus either logits (final segment) or the
-// boundary codes crossing the downstream cut.
+// engine over a sub-program for partitioned execution. run_segment() is the
+// uniform per-image entry point and run_codes_batched_into() the batched
+// one: both consume the activation codes entering the segment and yield
+// per-op stats plus either logits (final segment) or the boundary codes
+// crossing the downstream cut.
 //
 // Lifetime: an engine borrows the program (and, through it, the network);
 // both must outlive the engine.
@@ -82,19 +84,17 @@ class Engine {
   /// engines only (a stage engine cannot produce logits on its own).
   hw::AccelRunResult run_codes(const TensorI& codes);
 
-  /// As run_codes(), reusing `out`'s storage. The cycle-accurate engine
-  /// forwards to the zero-allocation fast path; the default delegates to
-  /// run_codes().
-  virtual void run_codes_into(const TensorI& codes, hw::AccelRunResult& out);
-
-  /// Run `count` images through the engine, reusing the results' storage.
-  /// The cycle-accurate engine runs them as one batch of the fast-path
-  /// kernels (one prepared-weight traversal for the whole batch; a single
-  /// image is the same kernels at batch width 1); the default loops
-  /// run_codes_into(). Every results[i] is bit-identical to a stepped-
-  /// dataflow run of codes[i] either way.
+  /// Run `count` images through this engine's segment, reusing the
+  /// results' storage. When `boundary_codes` is non-null it points at
+  /// `count` tensors that receive the codes crossing the downstream cut (an
+  /// interior segment's output). The accelerator engines run the batch as
+  /// one traversal of the fast-path range kernels (a single image is the
+  /// same kernels at batch width 1; the stepped engine loops its dataflow);
+  /// the default loops run_segment(). Every results[i] and boundary_codes[i]
+  /// is bit-identical to run_segment(codes[i]) either way.
   virtual void run_codes_batched_into(const TensorI* codes, std::size_t count,
-                                      hw::AccelRunResult* results);
+                                      hw::AccelRunResult* results,
+                                      TensorI* boundary_codes = nullptr);
 
   /// Encode a float image (values in [0,1)) and run it.
   hw::AccelRunResult run_image(const TensorF& image);

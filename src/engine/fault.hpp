@@ -5,8 +5,9 @@
 // reproducible test. A FaultPlan describes *when* faults fire — on a
 // replica's Nth execution attempt, or per-attempt with a seeded
 // probability — and a FaultInjector arms the plan across the fleet: each
-// replica (a monolithic engine or a PipelineExecutor, built by
-// make_submitter) consults the injector before running an image.
+// replica (a PipelineExecutor; a monolithic replica is its one-stage
+// instance) consults the injector before each image's attempt through all
+// of its stages.
 //
 // Three injectable faults:
 //   * kError — the attempt throws ReplicaFaultError (a transient failure:

@@ -1,6 +1,5 @@
 #include "engine/pipeline.hpp"
 
-#include <chrono>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -8,38 +7,10 @@
 
 namespace rsnn::engine {
 
-bool PipelineExecutor::BoundedQueue::push(Token&& token) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] {
-    return items_.size() < capacity_ || abort_->load(std::memory_order_acquire);
-  });
-  if (abort_->load(std::memory_order_acquire)) return false;
-  items_.push_back(std::move(token));
-  cv_.notify_all();
-  return true;
-}
-
-bool PipelineExecutor::BoundedQueue::pop(Token& token) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [&] {
-    return !items_.empty() || abort_->load(std::memory_order_acquire);
-  });
-  if (items_.empty()) return false;  // aborted with nothing left to drain
-  token = std::move(items_.front());
-  items_.pop_front();
-  cv_.notify_all();
-  return true;
-}
-
-void PipelineExecutor::BoundedQueue::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  items_.clear();
-}
-
 PipelineExecutor::PipelineExecutor(const ir::LayerProgram& program,
                                    std::vector<ir::ProgramSegment> segments,
-                                   EngineKind kind, std::size_t queue_capacity,
-                                   FaultInjector* injector, int replica_index)
+                                   EngineKind kind, FaultInjector* injector,
+                                   int replica_index)
     : program_(program),
       segments_(std::move(segments)),
       kind_(kind),
@@ -48,7 +19,6 @@ PipelineExecutor::PipelineExecutor(const ir::LayerProgram& program,
   RSNN_REQUIRE(program.has_hw_annotations(),
                "pipelining needs a hardware-lowered program");
   RSNN_REQUIRE(!segments_.empty(), "pipeline needs at least one segment");
-  RSNN_REQUIRE(queue_capacity >= 1, "queue capacity must be positive");
   RSNN_REQUIRE(segments_.front().begin == 0 &&
                    segments_.back().end == program.size(),
                "segments must cover the whole program");
@@ -62,143 +32,54 @@ PipelineExecutor::PipelineExecutor(const ir::LayerProgram& program,
                  "segments mix inherited and re-lowered annotations (segment "
                      << s << " differs from segment 0)");
 
-  queues_.reserve(segments_.size() - 1);
-  for (std::size_t s = 0; s + 1 < segments_.size(); ++s)
-    queues_.push_back(std::make_unique<BoundedQueue>(queue_capacity, &abort_));
+  engines_.reserve(segments_.size());
+  for (const ir::ProgramSegment& segment : segments_)
+    engines_.push_back(make_engine(kind_, program_, segment));
+}
 
-  threads_.reserve(segments_.size());
-  try {
-    for (std::size_t s = 0; s < segments_.size(); ++s)
-      threads_.emplace_back([this, s] { stage_main(s); });
-  } catch (...) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      shutdown_ = true;
-    }
-    cv_work_.notify_all();
-    for (std::thread& thread : threads_) thread.join();
-    throw;
+std::string PipelineExecutor::shape() const {
+  return stages() == 1 ? "monolithic"
+                       : "pipeline(" + std::to_string(stages()) + ")";
+}
+
+void PipelineExecutor::run_stages(const TensorI* codes, std::size_t count,
+                                  hw::AccelRunResult* results) {
+  const std::size_t last = engines_.size() - 1;
+  if (last == 0) {
+    engines_[0]->run_codes_batched_into(codes, count, results);
+    return;
   }
-}
-
-PipelineExecutor::~PipelineExecutor() {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
+  std::vector<TensorI> cut_in(count);   // codes entering stage s
+  std::vector<TensorI> cut_out(count);  // codes crossing its downstream cut
+  std::vector<hw::AccelRunResult> stage_results(count);
+  engines_[0]->run_codes_batched_into(codes, count, results, cut_out.data());
+  for (std::size_t s = 1; s <= last; ++s) {
+    cut_in.swap(cut_out);
+    engines_[s]->run_codes_batched_into(cut_in.data(), count,
+                                        stage_results.data(),
+                                        s == last ? nullptr : cut_out.data());
+    for (std::size_t i = 0; i < count; ++i)
+      hw::merge_segment_result(results[i], std::move(stage_results[i]));
   }
-  cv_work_.notify_all();
-  for (std::thread& thread : threads_) thread.join();
-}
-
-void PipelineExecutor::record_error() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (!error_) error_ = std::current_exception();
-}
-
-void PipelineExecutor::abort_batch() {
-  abort_.store(true, std::memory_order_release);
-  for (const auto& queue : queues_) queue->notify_abort();
-}
-
-void PipelineExecutor::stage_main(std::size_t stage) {
-  // Each stage constructs its engine (and thus its pre-allocated state)
-  // once, on its own thread, and keeps it for the executor's lifetime.
-  std::unique_ptr<Engine> engine;
-  try {
-    engine = make_engine(kind_, program_, segments_[stage]);
-  } catch (...) {
-    record_error();
-  }
-
-  const bool is_first = stage == 0;
-  const bool is_last = stage + 1 == segments_.size();
   const double cycle_ns = program_.config().cycle_ns();
-
-  std::uint64_t seen = 0;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_work_.wait(lock, [&] { return shutdown_ || generation_ != seen; });
-      if (shutdown_) return;
-      seen = generation_;
-    }
-
-    const std::size_t total = batch_->size();
-    for (std::size_t processed = 0; processed < total; ++processed) {
-      if (abort_.load(std::memory_order_acquire)) break;
-      Token token;
-      if (is_first) {
-        token.index = processed;
-        token.codes = (*batch_)[processed];
-      } else if (!queues_[stage - 1]->pop(token)) {
-        break;  // aborted upstream
-      }
-      try {
-        RSNN_REQUIRE(engine != nullptr, "stage engine failed to construct");
-        if (is_first && injector_ != nullptr)
-          injector_->before_attempt(replica_index_);
-        SegmentRunResult seg = engine->run_segment(token.codes);
-        hw::merge_segment_result(token.partial, std::move(seg.stats));
-        if (is_last) {
-          hw::finalize_run(token.partial, cycle_ns);
-          (*results_)[token.index] = std::move(token.partial);
-        } else {
-          token.codes = std::move(seg.boundary_codes);
-          if (!queues_[stage]->push(std::move(token))) break;
-        }
-      } catch (...) {
-        record_error();
-        abort_batch();  // fail fast: unblock every stage
-        break;
-      }
-    }
-
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (--active_ == 0) cv_done_.notify_all();
-    }
-  }
+  for (std::size_t i = 0; i < count; ++i)
+    hw::finalize_run(results[i], cycle_ns);
 }
 
 std::vector<hw::AccelRunResult> PipelineExecutor::run_pipeline(
     const std::vector<TensorI>& codes) {
   std::vector<hw::AccelRunResult> results(codes.size());
-  stats_ = PipelineStats{};
-  stats_.stages = stages();
   if (codes.empty()) return results;
-
-  const auto begin = std::chrono::steady_clock::now();
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& queue : queues_) queue->clear();  // stale aborted tokens
-    abort_.store(false, std::memory_order_release);
-    batch_ = &codes;
-    results_ = &results;
-    active_ = threads_.size();
-    ++generation_;
+  if (injector_ == nullptr) {
+    run_stages(codes.data(), codes.size(), results.data());
+    return results;
   }
-  cv_work_.notify_all();
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_done_.wait(lock, [&] { return active_ == 0; });
-    batch_ = nullptr;
-    results_ = nullptr;
-    if (error_) {
-      std::exception_ptr error = error_;
-      error_ = nullptr;
-      std::rethrow_exception(error);
-    }
+  // Under injection every image is its own attempt, so seeded fault plans
+  // replay against individual inferences; a fault aborts the batch.
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    injector_->before_attempt(replica_index_);
+    run_stages(&codes[i], 1, &results[i]);
   }
-  const auto end = std::chrono::steady_clock::now();
-
-  const double seconds =
-      std::chrono::duration_cast<std::chrono::duration<double>>(end - begin)
-          .count();
-  stats_.images = static_cast<std::int64_t>(codes.size());
-  stats_.wall_ms = seconds * 1e3;
-  stats_.images_per_sec =
-      seconds > 0.0 ? static_cast<double>(codes.size()) / seconds : 0.0;
-  stats_.ns_per_inference = seconds * 1e9 / static_cast<double>(codes.size());
   return results;
 }
 

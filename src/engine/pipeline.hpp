@@ -1,15 +1,20 @@
-// PipelineExecutor: pipeline-parallel execution of a partitioned program
-// across multiple simulated accelerator instances.
+// PipelineExecutor: execution of a partitioned program across simulated
+// accelerator instances — and the one replica shape of the serving pool.
 //
 // The accelerator is a layer-wise dataflow machine, so a LayerProgram cuts
 // cleanly at op boundaries (ir::ProgramSegment). This executor models one
-// device per segment: each stage is a persistent worker thread owning its
-// own stage engine — and therefore its own pre-allocated execution state
-// (the cycle-accurate stage owns an Accelerator::WorkerState) — and stages
-// are connected by bounded queues carrying the activation codes that cross
-// each cut. Images stream through the stages concurrently: stage 0 works on
-// image i+1 while stage 1 finishes image i, which is how a multi-FPGA
-// deployment of the paper's design would serve traffic.
+// device per segment: each stage owns its own stage engine — and therefore
+// its own pre-allocated execution state (the cycle-accurate stage owns an
+// Accelerator::WorkerState) — built once in the constructor. A monolithic
+// replica is the one-stage instance over ir::full_segment(program).
+//
+// Stages run in sequence on the calling thread: each stage runs the whole
+// batch in one batched call (Engine::run_codes_batched_into), and the codes
+// crossing its downstream cut feed the next stage. The overlap a multi-FPGA
+// deployment gets from streaming image i+1 through stage 0 while stage 1
+// finishes image i is a property of the hardware, modeled in cycles (the
+// serving pool's bottleneck-stage throughput), not host threads: a replica
+// costs exactly the one thread that calls run_pipeline().
 //
 // Results are index-aligned with the submitted batch. Logits are always
 // bit-identical to monolithic execution. Timing depends on the segments'
@@ -17,64 +22,46 @@
 //   * inherited segments — per-op stats merge to exactly the monolithic
 //     cycles / adder ops / traffic (tests/test_pipeline.cpp enforces this
 //     for all four engines);
-//   * re-lowered segments — each worker runs its stage's own per-device
-//     program, so stage cycles reflect the device-local placement and are
-//     allowed (and expected) to beat the inherited plan
-//     (tests/test_relower.cpp).
+//   * re-lowered segments — each stage runs its own per-device program, so
+//     stage cycles reflect the device-local placement and are allowed (and
+//     expected) to beat the inherited plan (tests/test_relower.cpp).
 //
-// Not reentrant: one run_pipeline() at a time (the caller is the stream).
+// Not reentrant: one run_pipeline() at a time per executor.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <cstdint>
-#include <deque>
-#include <exception>
 #include <memory>
-#include <mutex>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "engine/engine.hpp"
-#include "engine/submitter.hpp"
 #include "hw/accelerator.hpp"
 #include "ir/layer_program.hpp"
 
 namespace rsnn::engine {
 
-/// Throughput record of the most recent run_pipeline() call.
-struct PipelineStats {
-  std::int64_t images = 0;
-  int stages = 0;
-  double wall_ms = 0.0;
-  double images_per_sec = 0.0;
-  double ns_per_inference = 0.0;  ///< wall time / images (aggregate)
-};
-
 class FaultInjector;
 
-class PipelineExecutor : public Submitter {
+class PipelineExecutor {
  public:
-  /// Spawns one persistent worker per segment, each constructing its own
-  /// stage engine of `kind` on its own thread. `segments` must be a
-  /// contiguous partition of `program` (as produced by ir::make_segments or
-  /// the compiler partitioners). Adjacent stages exchange work through
-  /// bounded queues of `queue_capacity` in-flight images. When `injector`
-  /// is non-null, stage 0 consults it (as replica `replica_index`) once per
-  /// image — injected faults abort the batch and surface as the exception
-  /// from run_pipeline(). The program (and its network) must outlive the
-  /// executor; so must the injector.
+  /// Builds one stage engine of `kind` per segment; a stage that cannot be
+  /// built fails here. `segments` must be a contiguous partition of
+  /// `program` (as produced by ir::make_segments, the compiler partitioners,
+  /// or {ir::full_segment(program)} for a monolithic replica). When
+  /// `injector` is non-null the executor consults it (as replica
+  /// `replica_index`) before every image's execution attempt — injected
+  /// faults abort the batch and surface as the exception from
+  /// run_pipeline(). The program (and its network, and any re-lowered
+  /// segment programs) must outlive the executor; so must the injector.
   PipelineExecutor(const ir::LayerProgram& program,
                    std::vector<ir::ProgramSegment> segments, EngineKind kind,
-                   std::size_t queue_capacity = 4,
                    FaultInjector* injector = nullptr, int replica_index = 0);
-  ~PipelineExecutor();
-  PipelineExecutor(const PipelineExecutor&) = delete;
-  PipelineExecutor& operator=(const PipelineExecutor&) = delete;
 
-  /// Stream a batch of pre-encoded activation codes through the stages;
+  /// Run a batch of pre-encoded activation codes through every stage;
   /// results are index-aligned with `codes` and carry the merged per-op
-  /// stats of every stage plus the final stage's logits.
+  /// stats of every stage plus the final stage's logits. Without an
+  /// injector each stage is one batched call over the whole batch (a
+  /// one-stage executor is exactly one Engine::run_codes_batched_into);
+  /// with one, every image is its own attempt through all stages.
   std::vector<hw::AccelRunResult> run_pipeline(
       const std::vector<TensorI>& codes);
 
@@ -82,19 +69,9 @@ class PipelineExecutor : public Submitter {
   std::vector<hw::AccelRunResult> run_pipeline_images(
       const std::vector<TensorF>& images);
 
-  // Submitter: a pipelined serving replica — its segments must cover the
-  // whole program (the constructor already enforces that), one simulated
-  // device per stage.
-  std::vector<hw::AccelRunResult> submit(
-      const std::vector<TensorI>& codes) override {
-    return run_pipeline(codes);
-  }
-  std::string shape() const override {
-    return "pipeline(" + std::to_string(stages()) + ")";
-  }
-  int devices() const override { return stages(); }
-
-  const PipelineStats& last_stats() const { return stats_; }
+  /// Short human-readable replica shape: "monolithic" for one stage,
+  /// "pipeline(K)" otherwise.
+  std::string shape() const;
   int stages() const { return static_cast<int>(segments_.size()); }
   EngineKind kind() const { return kind_; }
   const std::vector<ir::ProgramSegment>& segments() const { return segments_; }
@@ -102,66 +79,17 @@ class PipelineExecutor : public Submitter {
   bool relowered() const { return segments_.front().is_relowered(); }
 
  private:
-  /// One image in flight between stages: its batch index, the activation
-  /// codes entering the next stage, and the upstream stages' merged stats.
-  struct Token {
-    std::size_t index = 0;
-    TensorI codes;
-    hw::AccelRunResult partial;
-  };
-
-  /// Bounded SPSC queue between adjacent stages. Push blocks on a full
-  /// queue, pop on an empty one; both return false once the executor aborts
-  /// (batch failure or shutdown) so stages can drain promptly.
-  class BoundedQueue {
-   public:
-    BoundedQueue(std::size_t capacity, const std::atomic<bool>* abort)
-        : capacity_(capacity), abort_(abort) {}
-    bool push(Token&& token);
-    bool pop(Token& token);
-    void clear();
-    /// Wake waiters after the abort flag was set. Passes through the queue
-    /// mutex first: a waiter that read abort_ == false inside its wait
-    /// predicate still holds the mutex, so acquiring it here orders this
-    /// notification after that waiter blocks — without it the wakeup could
-    /// land in the gap and be lost, deadlocking the stage.
-    void notify_abort() {
-      { const std::lock_guard<std::mutex> lock(mutex_); }
-      cv_.notify_all();
-    }
-
-   private:
-    const std::size_t capacity_;
-    const std::atomic<bool>* abort_;
-    std::mutex mutex_;
-    std::condition_variable cv_;
-    std::deque<Token> items_;
-  };
-
-  void stage_main(std::size_t stage);
-  void record_error();
-  void abort_batch();
+  /// Run `count` images through every stage in order, merging the stages'
+  /// stats into `results`.
+  void run_stages(const TensorI* codes, std::size_t count,
+                  hw::AccelRunResult* results);
 
   const ir::LayerProgram& program_;
   const std::vector<ir::ProgramSegment> segments_;
-  EngineKind kind_;
-  FaultInjector* injector_;  ///< optional, shared across the fleet
+  const EngineKind kind_;
+  FaultInjector* const injector_;  ///< optional, shared across the fleet
   const int replica_index_;
-
-  std::mutex mutex_;
-  std::condition_variable cv_work_;
-  std::condition_variable cv_done_;
-  const std::vector<TensorI>* batch_ = nullptr;
-  std::vector<hw::AccelRunResult>* results_ = nullptr;
-  std::size_t active_ = 0;          ///< stages yet to finish this batch
-  std::uint64_t generation_ = 0;    ///< bumped per submitted batch
-  bool shutdown_ = false;
-  std::exception_ptr error_;
-  std::atomic<bool> abort_{false};
-
-  std::vector<std::unique_ptr<BoundedQueue>> queues_;  ///< stage s -> s+1
-  PipelineStats stats_;
-  std::vector<std::thread> threads_;
+  std::vector<std::unique_ptr<Engine>> engines_;  ///< one per segment
 };
 
 }  // namespace rsnn::engine

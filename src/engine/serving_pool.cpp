@@ -66,6 +66,13 @@ const char* health_name(ReplicaHealth health) {
 
 namespace {
 
+// Fixed supervision and overload thresholds: the first failure or stall
+// degrades a replica, a second stall quarantines it, and a batch window
+// shrinks to zero while the queue is at least half full.
+constexpr int kDegradeAfterFailures = 1;
+constexpr int kQuarantineAfterStalls = 2;
+constexpr double kOverloadShrinkOccupancy = 0.5;
+
 int class_index(PriorityClass priority) {
   return priority == PriorityClass::kLatency ? 0 : 1;
 }
@@ -91,7 +98,12 @@ std::future<ServingResult> ready_outcome(RequestStatus status,
 
 ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
                          ServingPoolOptions options)
-    : program_(program), kind_(kind), options_(std::move(options)) {
+    : program_(program),
+      kind_(kind),
+      options_(std::move(options)),
+      segments_(options_.segments.empty()
+                    ? std::vector<ir::ProgramSegment>{ir::full_segment(program)}
+                    : options_.segments) {
   RSNN_REQUIRE(program.has_hw_annotations(),
                "serving needs a hardware-lowered program");
   RSNN_REQUIRE(options_.replicas >= 1,
@@ -121,24 +133,18 @@ ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
   RSNN_REQUIRE(options_.stall_timeout_ms >= 0.0,
                "stall_timeout_ms must be >= 0, got "
                    << options_.stall_timeout_ms);
-  RSNN_REQUIRE(options_.degrade_after_failures >= 1 &&
-                   options_.quarantine_after_failures >=
-                       options_.degrade_after_failures,
-               "health thresholds need 1 <= degrade <= quarantine, got "
-                   << options_.degrade_after_failures << " / "
+  RSNN_REQUIRE(options_.quarantine_after_failures >= kDegradeAfterFailures,
+               "quarantine_after_failures must be >= 1, got "
                    << options_.quarantine_after_failures);
-  RSNN_REQUIRE(options_.quarantine_after_stalls >= 1,
-               "quarantine_after_stalls must be >= 1, got "
-                   << options_.quarantine_after_stalls);
 
   if (!options_.fault_plan.empty())
     injector_ = std::make_unique<FaultInjector>(options_.fault_plan,
                                                 options_.replicas);
 
-  // Replicas are constructed here (not on the dispatcher threads) so an
-  // invalid configuration — e.g. segments that do not cover the program —
-  // fails the constructor instead of failing every future request. Pipeline
-  // stages still build their engines on their own stage threads.
+  // Replicas — every stage engine included — are constructed here (not on
+  // the dispatcher threads) so an invalid configuration — e.g. segments
+  // that do not cover the program — fails the constructor instead of
+  // failing every future request.
   const std::size_t n = static_cast<std::size_t>(options_.replicas);
   stats_.per_replica.assign(n, 0);
   health_.assign(n, ReplicaHealth::kHealthy);
@@ -146,9 +152,8 @@ ServingPool::ServingPool(const ir::LayerProgram& program, EngineKind kind,
   stall_count_.assign(n, 0);
   replicas_.reserve(n);
   for (int r = 0; r < options_.replicas; ++r)
-    replicas_.push_back(make_submitter(program_, kind_, options_.segments,
-                                       options_.stage_queue_capacity,
-                                       injector_.get(), r));
+    replicas_.push_back(std::make_unique<PipelineExecutor>(
+        program_, segments_, kind_, injector_.get(), r));
 
   replica_threads_.reserve(replicas_.size());
   try {
@@ -181,17 +186,6 @@ void ServingPool::shutdown(bool drain) {
   }
   cv_not_empty_.notify_all();
   cv_not_full_.notify_all();
-}
-
-int ServingPool::devices() const {
-  const int per_replica = options_.segments.empty()
-                              ? 1
-                              : static_cast<int>(options_.segments.size());
-  return replicas() * per_replica;
-}
-
-std::string ServingPool::replica_shape() const {
-  return replicas_.front()->shape();
 }
 
 int ServingPool::active_replicas_locked() const {
@@ -346,7 +340,7 @@ bool ServingPool::admit(TensorI&& codes, const RequestOptions& request,
   return true;
 }
 
-std::future<ServingResult> ServingPool::submit(Request request,
+std::future<ServingResult> ServingPool::submit(Request&& request,
                                                bool* admitted) {
   // Routing backstop: a request explicitly addressed to a different model
   // never queues here. The registry routes before this check; it exists so
@@ -481,7 +475,7 @@ std::vector<ServingPool::Queued> ServingPool::acquire_work(
     if (options_.queue_capacity > 0 &&
         static_cast<double>(queue_.size()) /
                 static_cast<double>(options_.queue_capacity) >=
-            options_.overload_shrink_occupancy) {
+            kOverloadShrinkOccupancy) {
       shrink = true;
       ++stats_.window_shrinks;
     }
@@ -503,9 +497,9 @@ std::vector<ServingPool::Queued> ServingPool::acquire_work(
 
 std::int64_t ServingPool::worst_stage_cycles(
     const hw::AccelRunResult& result) const {
-  if (options_.segments.empty()) return result.total_cycles;
+  if (segments_.size() == 1) return result.total_cycles;
   std::int64_t worst = 0;
-  for (const ir::ProgramSegment& segment : options_.segments) {
+  for (const ir::ProgramSegment& segment : segments_) {
     std::int64_t stage = 0;
     for (std::size_t op = segment.begin;
          op < segment.end && op < result.layers.size(); ++op)
@@ -534,10 +528,9 @@ bool ServingPool::record_dispatch_health(std::size_t replica_index,
   if (dead ||
       consecutive_failures_[replica_index] >=
           options_.quarantine_after_failures ||
-      stall_count_[replica_index] >= options_.quarantine_after_stalls)
+      stall_count_[replica_index] >= kQuarantineAfterStalls)
     after = ReplicaHealth::kQuarantined;
-  else if (consecutive_failures_[replica_index] >=
-               options_.degrade_after_failures ||
+  else if (consecutive_failures_[replica_index] >= kDegradeAfterFailures ||
            stall_count_[replica_index] > 0)
     after = ReplicaHealth::kDegraded;
   if (before != ReplicaHealth::kQuarantined) health_[replica_index] = after;
@@ -547,15 +540,15 @@ bool ServingPool::record_dispatch_health(std::size_t replica_index,
 
 bool ServingPool::handle_quarantine(std::size_t replica_index) {
   if (!options_.rebuild_quarantined) return false;
-  // A rebuilt replica models a re-flashed device: fresh submitter, fault
+  // A rebuilt replica models a re-flashed device: fresh stage engines, fault
   // injector dead-flag cleared, health and supervision counters reset. The
   // swap is safe without further coordination — only this replica's own
   // dispatcher thread ever touches replicas_[replica_index].
-  std::unique_ptr<Submitter> rebuilt;
+  std::unique_ptr<PipelineExecutor> rebuilt;
   try {
-    rebuilt = make_submitter(program_, kind_, options_.segments,
-                             options_.stage_queue_capacity, injector_.get(),
-                             static_cast<int>(replica_index));
+    rebuilt = std::make_unique<PipelineExecutor>(
+        program_, segments_, kind_, injector_.get(),
+        static_cast<int>(replica_index));
   } catch (...) {
     return false;  // rebuild failed: retire the replica
   }
@@ -623,7 +616,7 @@ void ServingPool::replica_main(std::size_t replica_index) {
     std::string error_text;
     const auto begin = Clock::now();
     try {
-      results = replicas_[replica_index]->submit(codes);
+      results = replicas_[replica_index]->run_pipeline(codes);
     } catch (const ReplicaDeadError& e) {
       failed = dead = true;
       error_text = e.what();

@@ -11,21 +11,23 @@
 //                      (EDF within priority class)    --> replica 1
 //                                                     --> ...
 //
-// Every replica is a Submitter (engine-agnostic: a monolithic engine or a
-// PipelineExecutor), owned by one dispatcher thread. A monolithic replica
-// runs its engine inline on that thread, so it costs exactly one thread; a
-// pipelined one adds a thread per stage; within a dispatch the batched fast
-// path may split images across common::TaskPool slices (fast_path.threads).
-// Dispatchers pull work from the queue per the admission policy:
+// Every replica is a PipelineExecutor (engine-agnostic) owned by one
+// dispatcher thread: a K-stage pipeline over options.segments, or — with no
+// segments — the one-stage pipeline over the whole program, reported as
+// "monolithic". Stages run inline on the dispatcher thread, so every replica
+// costs exactly one thread whatever its shape; the overlap of a multi-device
+// pipeline is modeled in cycles (ServingStats::modeled_images_per_sec, from
+// the bottleneck stage). Within a dispatch the batched fast path may split
+// images across common::TaskPool slices (fast_path.threads). Dispatchers
+// pull work from the queue per the admission policy:
 //   * kFifo   — dispatch requests one at a time; a full queue blocks the
 //     producer (backpressure by blocking).
 //   * kBatch  — accumulate up to max_batch requests before dispatching, but
 //     never hold the oldest request past its max-wait deadline: a deadline
 //     that expires with a single pending item dispatches that item alone.
-//     A full queue blocks the producer. Under overload (queue occupancy at
-//     or above overload_shrink_occupancy) the accumulation window shrinks
-//     to zero — dispatch whatever is pending rather than waiting for
-//     company the queue already has.
+//     A full queue blocks the producer. Under overload (queue at least half
+//     full) the accumulation window shrinks to zero — dispatch whatever is
+//     pending rather than waiting for company the queue already has.
 //   * kReject — FIFO dispatch, but a full queue sheds new work immediately
 //     (a ready future with RequestStatus::kRejected) instead of blocking —
 //     the load-shedding policy for latency-sensitive front ends.
@@ -50,9 +52,11 @@
 // Replica supervision: each replica carries a health state machine
 // (healthy -> degraded -> quarantined) driven by consecutive dispatch
 // failures and stall detections (a dispatch whose wall duration exceeds
-// stall_timeout_ms). Quarantined replicas stop serving; with
-// rebuild_quarantined set they are rebuilt via make_submitter (and the
-// fault injector's dead flag revived) and rejoin the fleet. If every
+// stall_timeout_ms): the first failure or stall degrades a replica;
+// quarantine_after_failures consecutive failures, or a second stall,
+// quarantine it. Quarantined replicas stop serving; with
+// rebuild_quarantined set they are rebuilt as a fresh PipelineExecutor (and
+// the fault injector's dead flag revived) and rejoin the fleet. If every
 // replica quarantines, queued and future work fails fast with
 // kReplicaFailed instead of waiting forever.
 //
@@ -83,7 +87,7 @@
 
 #include "engine/engine.hpp"
 #include "engine/fault.hpp"
-#include "engine/submitter.hpp"
+#include "engine/pipeline.hpp"
 #include "hw/accelerator.hpp"
 #include "ir/layer_program.hpp"
 
@@ -188,10 +192,9 @@ struct ServingPoolOptions {
   /// Identical replicas behind the queue (>= 1).
   int replicas = 1;
   /// Replica shape: a K-stage pipeline over these segments when non-empty
-  /// (must cover the whole program), a monolithic engine otherwise.
+  /// (must cover the whole program), the one-stage pipeline over the whole
+  /// program ("monolithic") otherwise.
   std::vector<ir::ProgramSegment> segments;
-  /// Inter-stage queue depth inside each pipelined replica.
-  std::size_t stage_queue_capacity = 4;
 
   /// Admission-queue capacity in requests. Must be >= 1 for the blocking
   /// policies; 0 is legal only with kReject (every request is shed — the
@@ -201,12 +204,10 @@ struct ServingPoolOptions {
   AdmissionPolicy policy = AdmissionPolicy::kFifo;
   /// kBatch: dispatch as soon as this many requests accumulated (>= 1).
   std::size_t max_batch = 8;
-  /// kBatch: never hold the oldest pending request longer than this.
+  /// kBatch: never hold the oldest pending request longer than this. The
+  /// window shrinks to zero while the queue is at least half full —
+  /// graceful degradation under sustained overload.
   double max_wait_ms = 1.0;
-  /// kBatch: at or above this queue occupancy (fraction of capacity) the
-  /// accumulation window shrinks to zero — graceful degradation under
-  /// sustained overload.
-  double overload_shrink_occupancy = 0.5;
 
   // --- fault tolerance ---
   /// Failed dispatch attempts are retried (preferentially on a different
@@ -220,13 +221,12 @@ struct ServingPoolOptions {
   /// replica's health (its results are still delivered). 0 disables stall
   /// detection.
   double stall_timeout_ms = 0.0;
-  /// Consecutive dispatch failures before a replica degrades / quarantines.
-  int degrade_after_failures = 1;
+  /// Consecutive dispatch failures before a replica quarantines (>= 1; the
+  /// first failure degrades it). Two stall detections, not necessarily
+  /// consecutive, also quarantine it.
   int quarantine_after_failures = 3;
-  /// Stall detections (not necessarily consecutive) before quarantine.
-  int quarantine_after_stalls = 2;
-  /// Rebuild quarantined replicas via make_submitter (reviving the fault
-  /// injector's dead flag) instead of retiring them.
+  /// Rebuild quarantined replicas (reviving the fault injector's dead flag)
+  /// instead of retiring them.
   bool rebuild_quarantined = false;
   /// Deterministic fault plan armed across the fleet; empty = no injection.
   FaultPlan fault_plan;
@@ -282,8 +282,8 @@ struct ServingStats {
 class ServingPool {
  public:
   /// Spawns `options.replicas` dispatcher threads, each owning one replica
-  /// (make_submitter over `program` / `options.segments`). The program (and
-  /// its network, and any re-lowered segment programs) must outlive the
+  /// (a PipelineExecutor over `program` / `options.segments`). The program
+  /// (and its network, and any re-lowered segment programs) must outlive the
   /// pool.
   ServingPool(const ir::LayerProgram& program, EngineKind kind,
               ServingPoolOptions options);
@@ -300,8 +300,10 @@ class ServingPool {
   /// queue blocks (kFifo/kBatch) and may evict the newest undispatched
   /// bulk request to admit latency-class work (degradation order: bulk
   /// first). `admitted`, when given, reports whether the request entered
-  /// the queue (false = the returned future is already resolved).
-  std::future<ServingResult> submit(Request request,
+  /// the queue (false = the returned future is already resolved). The
+  /// request is consumed only on admission: a refused request keeps its
+  /// codes, so a router can send it elsewhere without a copy.
+  std::future<ServingResult> submit(Request&& request,
                                     bool* admitted = nullptr);
 
   /// Test and bench convenience over submit(Request): admit one request of
@@ -339,12 +341,14 @@ class ServingPool {
   void reset_stats();
 
   int replicas() const { return static_cast<int>(replica_threads_.size()); }
-  /// Simulated devices across the fleet (replicas * stages-or-1).
-  int devices() const;
+  /// Simulated devices across the fleet (replicas * stages).
+  int devices() const {
+    return replicas() * static_cast<int>(segments_.size());
+  }
   EngineKind kind() const { return kind_; }
   const ServingPoolOptions& options() const { return options_; }
   /// Shape of replica 0 (all replicas are identical), e.g. "pipeline(2)".
-  std::string replica_shape() const;
+  std::string replica_shape() const { return replicas_.front()->shape(); }
   /// The armed fault injector; nullptr when the plan is empty.
   const FaultInjector* fault_injector() const { return injector_.get(); }
 
@@ -405,6 +409,8 @@ class ServingPool {
   const ir::LayerProgram& program_;
   EngineKind kind_;
   const ServingPoolOptions options_;
+  /// Every replica's stages: options_.segments, or the whole program.
+  const std::vector<ir::ProgramSegment> segments_;
   std::unique_ptr<FaultInjector> injector_;  ///< armed when plan non-empty
 
   mutable std::mutex mutex_;
@@ -429,7 +435,7 @@ class ServingPool {
   Clock::time_point last_complete_;
   bool saw_admit_ = false;
 
-  std::vector<std::unique_ptr<Submitter>> replicas_;
+  std::vector<std::unique_ptr<PipelineExecutor>> replicas_;
   std::vector<std::thread> replica_threads_;
 };
 

@@ -99,19 +99,23 @@ void Accelerator::run_codes_batched_into(WorkerState& state,
                                          const TensorI* codes,
                                          std::size_t batch,
                                          AccelRunResult* results,
-                                         SimMode mode) const {
+                                         SimMode mode, std::size_t begin,
+                                         std::size_t end,
+                                         TensorI* boundary_codes) const {
+  if (end == kProgramEnd) end = program_.size();
   if (batch == 0) return;
   if (mode == SimMode::kStepped) {
     for (std::size_t b = 0; b < batch; ++b)
-      run_codes_into(state, codes[b], results[b], mode);
+      results[b] = run_codes_range(state, codes[b], begin, end, mode,
+                                   boundary_codes ? boundary_codes + b
+                                                  : nullptr);
     return;
   }
   RSNN_REQUIRE(state.owner == &program_,
                "WorkerState belongs to a different accelerator (create it "
                "with this accelerator's make_worker_state())");
   for (std::size_t b = 0; b < batch; ++b) {
-    RSNN_REQUIRE(codes[b].shape() == program_.op(0).in_shape,
-                 "input shape mismatch for op 0 (batch element " << b << ")");
+    check_range(codes[b], begin, end);
     reset_run_result(results[b]);
   }
   // fast_path.threads: 1 = sequential kernel on the worker's own arena;
@@ -128,12 +132,13 @@ void Accelerator::run_codes_batched_into(WorkerState& state,
                  : static_cast<std::size_t>(requested));
   if (threads > 1 && batch > 1) {
     run_fast_path_batched_parallel(program_, fast_prepared(),
-                                   common::shared_task_pool(), codes, batch, 0,
-                                   program_.size(), nullptr, results, threads);
+                                   common::shared_task_pool(), codes, batch,
+                                   begin, end, boundary_codes, results,
+                                   threads);
     return;
   }
   run_fast_path_batched(program_, fast_prepared(), state.fast_arena, codes,
-                        batch, 0, program_.size(), nullptr, results);
+                        batch, begin, end, boundary_codes, results);
 }
 
 const FastPrepared& Accelerator::fast_prepared() const {

@@ -91,14 +91,20 @@ class Accelerator {
                       AccelRunResult& out,
                       SimMode mode = SimMode::kCycleAccurate) const;
 
-  /// Run `batch` whole-program inferences through one prepared-weight
-  /// traversal of the fast path (hw/fast_path): each weight tile is loaded
-  /// once and applied to every image, amortizing the cache misses that
-  /// dominate per-image runs. `codes` and `results` point at `batch`
-  /// elements; every results[b] is bit-identical to run_codes_into(state,
-  /// codes[b], results[b], mode) — which is this same kernel at batch width
-  /// 1. kStepped loops run_codes_into(). A warm (state, results) pair keeps
-  /// the whole call allocation-free.
+  /// Default `end` of run_codes_batched_into(): stands for program().size().
+  static constexpr std::size_t kProgramEnd = static_cast<std::size_t>(-1);
+
+  /// Run `batch` inferences over the op range [begin, end) — the whole
+  /// program by default — through one prepared-weight traversal of the fast
+  /// path (hw/fast_path): each weight tile is loaded once and applied to
+  /// every image, amortizing the cache misses that dominate per-image runs.
+  /// `codes` and `results` point at `batch` elements shaped as op `begin`'s
+  /// input; every results[b] is bit-identical to run_codes_range(state,
+  /// codes[b], begin, end, mode) — which is this same kernel at batch width
+  /// 1. When the range stops short of the final op and `boundary_codes` is
+  /// non-null, it points at `batch` tensors that receive the codes crossing
+  /// the downstream cut. kStepped loops run_codes_range(). A warm (state,
+  /// results) pair keeps a whole-program call allocation-free.
   ///
   /// With config().fast_path.threads != 1 the batch splits into contiguous
   /// image slices executed fork/join per op on common::shared_task_pool()
@@ -106,9 +112,12 @@ class Accelerator {
   /// per-image results, one shared weight stream across cores.
   void run_codes_batched_into(WorkerState& state, const TensorI* codes,
                               std::size_t batch, AccelRunResult* results,
-                              SimMode mode = SimMode::kCycleAccurate) const;
+                              SimMode mode = SimMode::kCycleAccurate,
+                              std::size_t begin = 0,
+                              std::size_t end = kProgramEnd,
+                              TensorI* boundary_codes = nullptr) const;
 
-  /// Run only the op range [begin, end) — the pipeline executor's entry
+  /// Run only the op range [begin, end) — a stage engine's per-image entry
   /// point. `codes` must be shaped as op `begin`'s input (the requantized
   /// activation codes crossing the upstream cut). When `end` stops short of
   /// the program's final op the result carries no logits and

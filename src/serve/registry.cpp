@@ -105,12 +105,28 @@ std::future<engine::ServingResult> ModelRegistry::submit(
   // Copy the shared_ptr under the lock, submit outside it: a hot-swap or
   // unload during the (possibly blocking) admission cannot free the pool
   // out from under us, and its drain guarantees cover this request.
-  const std::shared_ptr<Instance> instance = find(request.model_id);
+  std::shared_ptr<Instance> instance = find(request.model_id);
   if (instance == nullptr) {
     if (admitted != nullptr) *admitted = false;
     return rejected("unknown model '" + request.model_id + "'");
   }
-  return instance->pool->submit(std::move(request), admitted);
+  for (;;) {
+    bool entered = false;
+    // ServingPool::submit consumes the request only on admission.
+    auto ticket = instance->pool->submit(std::move(request), &entered);
+    if (!entered) {
+      // A hot-swap between find() and admission shuts the displaced pool
+      // down after the slot already holds its successor: route the refused
+      // request, codes intact, to the generation that replaced it.
+      std::shared_ptr<Instance> current = find(request.model_id);
+      if (current != nullptr && current != instance) {
+        instance = std::move(current);
+        continue;
+      }
+    }
+    if (admitted != nullptr) *admitted = entered;
+    return ticket;
+  }
 }
 
 std::shared_ptr<ModelRegistry::Instance> ModelRegistry::find(

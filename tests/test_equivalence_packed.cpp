@@ -18,7 +18,7 @@
 #include "compiler/compile.hpp"
 #include "encoding/radix.hpp"
 #include "engine/engine.hpp"
-#include "engine/submitter.hpp"
+#include "engine/pipeline.hpp"
 #include "hw/accelerator.hpp"
 #include "nn/zoo.hpp"
 #include "quant/quantize.hpp"
@@ -238,13 +238,14 @@ TEST(PackedEquivalence, MonolithicReplicaMatchesSequentialRuns) {
     codes.push_back(quant::encode_activations(
         rsnn::testing::random_image(Shape{1, 10, 10}, rng), 4));
 
-  auto replica = engine::make_submitter(
-      program, engine::EngineKind::kCycleAccurate, /*segments=*/{});
-  const auto first = replica->submit(codes);
-  const auto second = replica->submit(codes);  // warm engine, reused state
+  engine::PipelineExecutor replica(program, {ir::full_segment(program)},
+                                   engine::EngineKind::kCycleAccurate);
+  EXPECT_EQ(replica.shape(), "monolithic");
+  const auto first = replica.run_pipeline(codes);
+  const auto second = replica.run_pipeline(codes);  // warm, reused state
   ASSERT_EQ(first.size(), codes.size());
   ASSERT_EQ(second.size(), codes.size());
-  EXPECT_TRUE(replica->submit({}).empty());
+  EXPECT_TRUE(replica.run_pipeline({}).empty());
 
   for (std::size_t i = 0; i < codes.size(); ++i) {
     const AccelRunResult ref = accel.run_codes(codes[i]);

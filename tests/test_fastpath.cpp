@@ -731,8 +731,7 @@ TEST(FastPathShared, ServingReplicasReuseTheSharedPack) {
   // replica the pool spins up must then attach to it without building.
   auto warm =
       engine::make_engine(engine::EngineKind::kCycleAccurate, program);
-  AccelRunResult tmp;
-  warm->run_codes_into(codes[0], tmp);
+  warm->run_codes(codes[0]);
   const std::uint64_t before = fast_prepared_build_count();
 
   engine::ServingPoolOptions opts;
@@ -746,8 +745,8 @@ TEST(FastPathShared, ServingReplicasReuseTheSharedPack) {
     // matches the warm monolithic engine bit for bit.
     for (std::size_t i = 0; i < codes.size(); ++i) {
       SCOPED_TRACE("request " + std::to_string(i));
-      warm->run_codes_into(codes[i], tmp);
-      EXPECT_EQ(run.results[i].result.logits, tmp.logits);
+      EXPECT_EQ(run.results[i].result.logits,
+                warm->run_codes(codes[i]).logits);
     }
   }
   EXPECT_EQ(fast_prepared_build_count(), before)

@@ -305,7 +305,7 @@ TEST(ServingPool, DyingReplicaHandsInFlightBatchToSurvivor) {
 
 TEST(ServingPool, QuarantinedReplicaIsRebuiltWhenConfigured) {
   // The same killed single replica, but with rebuild enabled: the pool
-  // re-creates the submitter (re-flashes the device), revives the injector
+  // re-creates the replica (re-flashes the device), revives the injector
   // dead flag, and the retried request completes.
   const LeNetFixture fx;
   const auto batch = lenet_batch(2, fx.qnet.time_bits);
@@ -348,7 +348,6 @@ TEST(ServingPool, StallDetectionDegradesAndQuarantines) {
   ServingPoolOptions options;
   options.replicas = 2;
   options.stall_timeout_ms = 250.0;
-  options.quarantine_after_stalls = 2;
   options.fault_plan = plan_of("stall:r0@1x500,stall:r0@2x500");
   ServingPool pool(fx.program, EngineKind::kReference, options);
 

@@ -228,15 +228,11 @@ TEST_P(PipelineEquivalence, LeNetSegmentedMatchesMonolithic) {
   for (const int stages : {2, 3}) {
     const auto segments =
         compiler::partition_balance_latency(fx.program, stages);
-    PipelineExecutor pipe(fx.program, segments, GetParam(),
-                          /*queue_capacity=*/2);
+    PipelineExecutor pipe(fx.program, segments, GetParam());
     ASSERT_EQ(pipe.stages(), stages);
 
     const auto results = pipe.run_pipeline(batch);
     ASSERT_EQ(results.size(), batch.size());
-    EXPECT_EQ(pipe.last_stats().images,
-              static_cast<std::int64_t>(batch.size()));
-    EXPECT_GT(pipe.last_stats().images_per_sec, 0.0);
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
       SCOPED_TRACE(::testing::Message() << stages << " stages, image " << i);
@@ -249,6 +245,41 @@ TEST_P(PipelineEquivalence, LeNetSegmentedMatchesMonolithic) {
     const auto again = pipe.run_pipeline(batch);
     for (std::size_t i = 0; i < batch.size(); ++i)
       EXPECT_EQ(again[i].logits, reference[i].logits) << "warm image " << i;
+  }
+}
+
+/// Every stage engine's batched entry — the only entry the executor drives —
+/// must equal its per-image run_segment: per-op stats and the codes crossing
+/// the downstream cut, on every engine, including the range kernels'
+/// multi-slice path (fast_path.threads = 2).
+TEST_P(PipelineEquivalence, StageBatchedEntryMatchesRunSegment) {
+  const LeNetFixture fx;
+  const auto batch = lenet_batch(3, fx.qnet.time_bits);
+  hw::AcceleratorConfig sliced = hw::lenet_reference_config();
+  sliced.fast_path.threads = 2;
+  const ir::LayerProgram sliced_program = ir::lower(fx.qnet, sliced);
+
+  for (const ir::LayerProgram* program : {&fx.program, &sliced_program}) {
+    std::vector<TensorI> in = batch;
+    for (const auto& seg :
+         compiler::partition_balance_latency(*program, 3)) {
+      SCOPED_TRACE(::testing::Message()
+                   << "threads " << program->config().fast_path.threads
+                   << ", segment [" << seg.begin << ", " << seg.end << ")");
+      auto engine = make_engine(GetParam(), *program, seg);
+      std::vector<hw::AccelRunResult> results(in.size());
+      std::vector<TensorI> out(in.size());
+      engine->run_codes_batched_into(in.data(), in.size(), results.data(),
+                                     seg.final_segment ? nullptr : out.data());
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        const SegmentRunResult ref = engine->run_segment(in[i]);
+        expect_identical(results[i], ref.stats, "batched stage entry");
+        if (!seg.final_segment)
+          EXPECT_EQ(out[i].to_vector(), ref.boundary_codes.to_vector())
+              << "image " << i;
+      }
+      in = std::move(out);
+    }
   }
 }
 
@@ -313,8 +344,7 @@ TEST(Pipeline, EmptyBatchAndShapeErrors) {
 
   const auto results = pipe.run_pipeline({});
   EXPECT_TRUE(results.empty());
-  EXPECT_EQ(pipe.last_stats().images, 0);
-  EXPECT_EQ(pipe.last_stats().stages, 2);
+  EXPECT_EQ(pipe.stages(), 2);
 
   // A malformed image fails the batch with the stage's contract violation
   // and leaves the executor usable.

@@ -7,10 +7,13 @@
 // execution while answering protocol violations with one Error frame.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <deque>
 #include <future>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -397,6 +400,83 @@ TEST(Registry, HotSwapResolvesInFlightWorkWithOldModelLogits) {
   const auto snapshot = registry.snapshot("m");
   ASSERT_EQ(snapshot.size(), 1u);
   EXPECT_EQ(snapshot[0].generation, 2u) << "every load bumps the generation";
+}
+
+TEST(Registry, HotSwapRefusesNoRacingSubmit) {
+  // Submitters race 200 hot-swaps of one slot. A submit that found the
+  // displaced generation just before its shutdown — or is blocked on its
+  // full queue when the shutdown lands — is routed again to the generation
+  // that replaced it: no request may resolve kRejected, and every one is
+  // served with the model's logits.
+  RegistryOptions options = small_registry_options();
+  options.pool.queue_capacity = 2;  // keeps submitters blocked in admission
+  const quant::QuantizedNetwork net = make_qnet(11);
+  const TensorI codes = encode_image(net, 5);
+  const std::vector<std::int64_t> logits =
+      reference_logits(net, options, codes);
+
+  ModelRegistry registry(options);
+  ASSERT_TRUE(registry.load_network("m", net).empty());
+
+  constexpr int kSwaps = 200;
+  constexpr int kSubmitters = 3;
+  constexpr std::size_t kInFlight = 16;  // per submitter, bounds memory
+  struct Tally {
+    int ok = 0;
+    int rejected = 0;
+    int other = 0;
+    int wrong_logits = 0;
+  };
+  std::vector<Tally> tallies(kSubmitters);
+  std::atomic<bool> swapping{true};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kSubmitters; ++t)
+    submitters.emplace_back([&, t] {
+      Tally& tally = tallies[static_cast<std::size_t>(t)];
+      std::deque<std::future<engine::ServingResult>> pending;
+      const auto settle = [&] {
+        const engine::ServingResult result = pending.front().get();
+        pending.pop_front();
+        if (result.status == RequestStatus::kOk) {
+          ++tally.ok;
+          if (result.result.logits != logits) ++tally.wrong_logits;
+        } else if (result.status == RequestStatus::kRejected) {
+          ++tally.rejected;
+        } else {
+          ++tally.other;
+        }
+      };
+      while (swapping.load(std::memory_order_relaxed)) {
+        engine::Request request;
+        request.model_id = "m";
+        request.codes = codes;
+        pending.push_back(registry.submit(std::move(request)));
+        if (pending.size() == kInFlight) settle();
+      }
+      while (!pending.empty()) settle();
+    });
+
+  int failed_loads = 0;
+  for (int i = 0; i < kSwaps; ++i)
+    if (!registry.load_network("m", net).empty()) ++failed_loads;
+  swapping.store(false, std::memory_order_relaxed);
+  for (std::thread& submitter : submitters) submitter.join();
+
+  EXPECT_EQ(failed_loads, 0);
+  Tally total;
+  for (const Tally& tally : tallies) {
+    total.ok += tally.ok;
+    total.rejected += tally.rejected;
+    total.other += tally.other;
+    total.wrong_logits += tally.wrong_logits;
+  }
+  EXPECT_EQ(total.rejected, 0) << "a hot-swap refused racing submits";
+  EXPECT_EQ(total.other, 0);
+  EXPECT_EQ(total.wrong_logits, 0);
+  EXPECT_GT(total.ok, 0);
+  const auto snapshot = registry.snapshot("m");
+  ASSERT_EQ(snapshot.size(), 1u);
+  EXPECT_EQ(snapshot[0].generation, static_cast<std::uint64_t>(kSwaps + 1));
 }
 
 TEST(Registry, LoadModelValidatesIdsAndPaths) {

@@ -17,7 +17,7 @@
 #include "compiler/partition.hpp"
 #include "engine/engine.hpp"
 #include "engine/serving_pool.hpp"
-#include "engine/submitter.hpp"
+#include "engine/pipeline.hpp"
 #include "hw/accelerator.hpp"
 #include "nn/zoo.hpp"
 #include "quant/quantize.hpp"
@@ -80,29 +80,30 @@ TEST(EngineNames, FourKindsAndTheAnalyticAlias) {
   EXPECT_EQ(parse_engine("analytic"), EngineKind::kCycleAccurate);
 }
 
-// ----------------------------------------------------- submitter facade
+// ------------------------------------------------------- replica shapes
 
-TEST(Submitter, MonolithicAndPipelineShareOneInterface) {
+TEST(PipelineExecutor, MonolithicReplicaIsTheOneStagePipeline) {
   const LeNetFixture fx;
   const auto batch = lenet_batch(2, fx.qnet.time_bits);
   const auto reference =
       monolithic_reference(fx.program, EngineKind::kReference, batch);
 
-  auto monolithic = make_submitter(fx.program, EngineKind::kReference, {});
-  EXPECT_EQ(monolithic->shape(), "monolithic");
-  EXPECT_EQ(monolithic->devices(), 1);
+  PipelineExecutor monolithic(fx.program, {ir::full_segment(fx.program)},
+                              EngineKind::kReference);
+  EXPECT_EQ(monolithic.shape(), "monolithic");
+  EXPECT_EQ(monolithic.stages(), 1);
 
-  const auto segments = compiler::partition_balance_latency(fx.program, 3);
-  auto pipelined =
-      make_submitter(fx.program, EngineKind::kReference, segments);
-  EXPECT_EQ(pipelined->shape(), "pipeline(3)");
-  EXPECT_EQ(pipelined->devices(), 3);
+  PipelineExecutor pipelined(
+      fx.program, compiler::partition_balance_latency(fx.program, 3),
+      EngineKind::kReference);
+  EXPECT_EQ(pipelined.shape(), "pipeline(3)");
+  EXPECT_EQ(pipelined.stages(), 3);
 
-  for (Submitter* submitter : {monolithic.get(), pipelined.get()}) {
-    const auto results = submitter->submit(batch);
+  for (PipelineExecutor* replica : {&monolithic, &pipelined}) {
+    const auto results = replica->run_pipeline(batch);
     ASSERT_EQ(results.size(), batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      EXPECT_EQ(results[i].logits, reference[i].logits) << submitter->shape();
+      EXPECT_EQ(results[i].logits, reference[i].logits) << replica->shape();
       EXPECT_EQ(results[i].predicted_class, reference[i].predicted_class);
     }
   }
@@ -231,22 +232,30 @@ int process_threads() {
   return error ? -1 : count;
 }
 
-TEST(ServingPool, MonolithicReplicaCostsExactlyOneThread) {
-  // A monolithic replica runs its engine inline on its dispatcher thread:
-  // with fast_path.threads = 1 a pool of R replicas adds exactly R threads,
-  // before and after serving work.
+TEST(ServingPool, EveryReplicaCostsExactlyOneThread) {
+  // Every replica runs its stages inline on its dispatcher thread: with
+  // fast_path.threads = 1 a pool of R replicas adds exactly R threads,
+  // before and after serving work, whether its replicas are monolithic or
+  // 2- or 3-stage pipelines.
   const LeNetFixture fx;
   ASSERT_EQ(fx.program.config().fast_path.threads, 1);
-  const int before = process_threads();
-  if (before < 0) GTEST_SKIP() << "/proc/self/task is unavailable";
+  if (process_threads() < 0) GTEST_SKIP() << "/proc/self/task is unavailable";
   constexpr int kReplicas = 3;
-  ServingPoolOptions options;
-  options.replicas = kReplicas;
-  ServingPool pool(fx.program, EngineKind::kCycleAccurate, options);
-  EXPECT_EQ(process_threads() - before, kReplicas);
   const auto batch = lenet_batch(4, fx.qnet.time_bits);
-  EXPECT_EQ(pool.run_batch(batch).ok_count(), batch.size());
-  EXPECT_EQ(process_threads() - before, kReplicas);
+  for (const int stages : {1, 2, 3}) {
+    SCOPED_TRACE(::testing::Message() << stages << " stage(s)");
+    ServingPoolOptions options;
+    options.replicas = kReplicas;
+    if (stages > 1)
+      options.segments =
+          compiler::partition_balance_latency(fx.program, stages);
+    const int before = process_threads();
+    ServingPool pool(fx.program, EngineKind::kCycleAccurate, options);
+    EXPECT_EQ(pool.devices(), kReplicas * stages);
+    EXPECT_EQ(process_threads() - before, kReplicas);
+    EXPECT_EQ(pool.run_batch(batch).ok_count(), batch.size());
+    EXPECT_EQ(process_threads() - before, kReplicas);
+  }
 }
 
 // ------------------------------------------------ queue concurrency
@@ -540,8 +549,7 @@ TEST(ServingPool, InvalidOptionsThrow) {
   }
   {
     ServingPoolOptions options;
-    options.quarantine_after_failures = 1;
-    options.degrade_after_failures = 2;  // degrade above quarantine
+    options.quarantine_after_failures = 0;
     EXPECT_THROW(ServingPool(fx.program, EngineKind::kReference, options),
                  ContractViolation);
   }

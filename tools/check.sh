@@ -7,10 +7,12 @@
 #                           the full suite runs bounds-checked end to end.
 # plus a forced-scalar rerun of the SIMD-sensitive suites
 # (RSNN_FORCE_SCALAR=1 pins the vector kernels' scalar fallback to the same
-# bit-identical results), an RTL-emission smoke, a sanitizer (ASan+UBSan)
-# pass over the threaded executor tests, and a ThreadSanitizer pass over the
-# same suites (the serving pool's supervision / retry machinery is
-# lock-heavy; TSan is the tier that catches ordering bugs ASan cannot).
+# bit-identical results), the benchmark's logic tests and runner build
+# (benchmark/ compiles against src/), an RTL-emission smoke, a sanitizer
+# (ASan+UBSan) pass over the serving / pipeline / fault suites, and a
+# ThreadSanitizer pass over the same suites (the serving pool's admission /
+# supervision / retry machinery is lock-heavy; TSan is the tier that
+# catches ordering bugs ASan cannot).
 #
 # The library targets build with -Wall -Wextra; this script treats any
 # compiler warning as a failure so the targets stay warnings-clean.
@@ -83,11 +85,12 @@ run_config "Release" build-check-release -DCMAKE_BUILD_TYPE=Release
 # 1b. Forced-scalar dispatch: rerun the SIMD-sensitive suites on the same
 #     Release binaries with RSNN_FORCE_SCALAR=1, so the scalar fallback of
 #     the vector kernels stays bit-identical on every machine, not just
-#     ones without AVX2/NEON.
+#     ones without AVX2/NEON. The pipeline and re-lowering suites are
+#     SIMD-sensitive too: their stages run the batched range kernels.
 echo "==== [Release] forced-scalar dispatch (RSNN_FORCE_SCALAR=1) ===="
 if ! RSNN_FORCE_SCALAR=1 ctest --test-dir build-check-release \
     --output-on-failure -j "$JOBS" \
-    -R 'test_fastpath|test_equivalence_packed|test_property|test_hw'; then
+    -R 'test_fastpath|test_equivalence_packed|test_property|test_hw|test_pipeline|test_relower'; then
   echo "==== [Release] FAILED: forced-scalar ctest ===="
   exit 1
 fi
@@ -100,6 +103,20 @@ fi
 
 run_config "Release+RSNN_CHECKED" build-check-checked \
     -DCMAKE_BUILD_TYPE=Release -DRSNN_CHECKED=ON
+
+# 2b. Benchmark logic: benchmark/ builds the library from src/ into
+#     .bench_build/ and compiles against its API, so run its logic tests
+#     and build the workload runner — a library change that breaks the
+#     benchmark sources fails here, not in the next benchmark run.
+echo "==== [benchmark] logic tests + runner build ===="
+if ! python3 benchmark/run.py --test; then
+  echo "==== [benchmark] FAILED: logic tests ===="
+  exit 1
+fi
+if ! cmake --build .bench_build/benchmark -j "$JOBS" --target rsnn_benchmark; then
+  echo "==== [benchmark] FAILED: runner build ===="
+  exit 1
+fi
 
 # 3. RTL-emission smoke: generate the per-segment bundles for a 2-stage
 #    LeNet pipeline and assert every stage directory holds a non-empty
@@ -121,17 +138,18 @@ for stage in stage0 stage1; do
 done
 echo "==== RTL emission smoke passed ===="
 
-# 4. Sanitizer pass (ASan + UBSan): builds only the threaded executor tests
-#    plus the re-lowering suite and runs them instrumented, validating the
-#    pipeline executor's bounded queues / worker threads, the serving
-#    pool's admission queue and inline replicas, the serving daemon's socket /
-#    registry / connection threads, the fault-injection chaos suite and the
-#    per-device re-lowering path for memory and UB errors without paying for
-#    a full sanitized suite run.
+# 4. Sanitizer pass (ASan + UBSan): builds only the serving, daemon,
+#    pipeline, fault and re-lowering suites and runs them instrumented,
+#    validating the serving pool's admission queue and inline replicas
+#    (monolithic and pipelined), the pipeline stages' boundary-code
+#    hand-off, the serving daemon's socket / registry / connection threads
+#    and hot-swap, the fault-injection chaos suite and the per-device
+#    re-lowering path for memory and UB errors without paying for a full
+#    sanitized suite run.
 echo "==== [Release+RSNN_SANITIZE] configure ===="
 cmake -B build-check-sanitize -S . \
     -DCMAKE_BUILD_TYPE=Release -DRSNN_SANITIZE=ON
-echo "==== [Release+RSNN_SANITIZE] build (threaded executor tests) ===="
+echo "==== [Release+RSNN_SANITIZE] build (serving / pipeline / fault suites) ===="
 cmake --build build-check-sanitize -j "$JOBS" \
     --target test_pipeline test_equivalence_packed test_relower test_serving \
       test_serve test_faults test_fastpath
@@ -142,11 +160,12 @@ ctest --test-dir build-check-sanitize --output-on-failure -j "$JOBS" \
 # 5. ThreadSanitizer pass: same threaded suites under RSNN_SANITIZE_THREAD
 #    (its own build directory — TSan and ASan cannot share one). This is
 #    the tier that validates the serving pool's replica supervision, retry
-#    backoff and shutdown paths for data races and lock-order inversions.
+#    backoff and shutdown paths and the registry's hot-swap re-routing for
+#    data races and lock-order inversions.
 echo "==== [Release+RSNN_SANITIZE_THREAD] configure ===="
 cmake -B build-check-tsan -S . \
     -DCMAKE_BUILD_TYPE=Release -DRSNN_SANITIZE_THREAD=ON
-echo "==== [Release+RSNN_SANITIZE_THREAD] build (threaded executor tests) ===="
+echo "==== [Release+RSNN_SANITIZE_THREAD] build (serving / pipeline / fault suites) ===="
 cmake --build build-check-tsan -j "$JOBS" \
     --target test_pipeline test_equivalence_packed test_serving test_serve \
       test_faults test_fastpath
