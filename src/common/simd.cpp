@@ -1,15 +1,18 @@
 // Runtime-dispatched SIMD kernels for the fast path. See simd.hpp for the
 // exactness contract and value-range requirements.
 //
-// The library builds with plain -O2 (no -mavx2), so the AVX2 bodies are
-// compiled per-function with __attribute__((target("avx2"))) and only ever
-// called after __builtin_cpu_supports("avx2") confirms the ISA. NEON is part
+// The library builds with plain -O2 (no -mavx2, no -mpopcnt), so the AVX2
+// and POPCNT bodies are compiled per-function with
+// __attribute__((target(...))) and only ever called after
+// __builtin_cpu_supports confirms both ISAs. NEON is part
 // of the AArch64 baseline, so that variant needs no runtime check.
 
 #include "common/simd.hpp"
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
+#include <type_traits>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -42,8 +45,68 @@ void add_i64_scalar(std::int64_t* acc, const std::int64_t* src,
   for (std::int64_t i = 0; i < n; ++i) acc[i] += src[i];
 }
 
-constexpr Kernels kScalarKernels{axpy_code_i64_scalar, axpy_w32_scalar,
-                                 add_i64_scalar, "scalar"};
+void axpy_i32_scalar(std::int32_t* acc, const std::int32_t* src,
+                     std::int32_t a, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) acc[i] += a * src[i];
+}
+
+void add_i32_scalar(std::int32_t* acc, const std::int32_t* src,
+                    std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) acc[i] += src[i];
+}
+
+/// The one spike-counting loop every table instantiates; `Popcount` is the
+/// set-bit count of the table's ISA. Always inlined, so a caller compiled
+/// for POPCNT expands the count to the instruction.
+template <class W, class Popcount>
+[[gnu::always_inline]] inline void count_spikes_body(
+    std::int64_t* out, const W* codes, const std::int32_t* weight,
+    std::int64_t n, std::int64_t batch, Popcount popcount) {
+  using U = std::make_unsigned_t<W>;
+  if (batch == 1) {
+    std::int64_t total = 0;
+    if (weight == nullptr) {
+      for (std::int64_t i = 0; i < n; ++i)
+        total += popcount(static_cast<U>(codes[i]));
+    } else {
+      for (std::int64_t i = 0; i < n; ++i)
+        total += std::int64_t{popcount(static_cast<U>(codes[i]))} * weight[i];
+    }
+    out[0] += total;
+    return;
+  }
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t w = weight == nullptr ? 1 : weight[i];
+    if (w == 0) continue;
+    const W* px = codes + i * batch;
+    for (std::int64_t b = 0; b < batch; ++b)
+      out[b] += std::int64_t{popcount(static_cast<U>(px[b]))} * w;
+  }
+}
+
+struct PortablePopcount {
+  template <class U>
+  [[gnu::always_inline]] int operator()(U v) const {
+    return std::popcount(v);
+  }
+};
+
+void count_spikes_i64_scalar(std::int64_t* out, const std::int64_t* codes,
+                             const std::int32_t* weight, std::int64_t n,
+                             std::int64_t batch) {
+  count_spikes_body(out, codes, weight, n, batch, PortablePopcount{});
+}
+
+void count_spikes_i32_scalar(std::int64_t* out, const std::int32_t* codes,
+                             const std::int32_t* weight, std::int64_t n,
+                             std::int64_t batch) {
+  count_spikes_body(out, codes, weight, n, batch, PortablePopcount{});
+}
+
+constexpr Kernels kScalarKernels{axpy_code_i64_scalar,    axpy_w32_scalar,
+                                 add_i64_scalar,          axpy_i32_scalar,
+                                 add_i32_scalar,          count_spikes_i64_scalar,
+                                 count_spikes_i32_scalar, "scalar"};
 
 // ---------------------------------------------------------------------------
 // AVX2 kernels. AVX2 has no 64x64 multiply, but every multiplier here fits in
@@ -125,8 +188,149 @@ __attribute__((target("avx2"))) void add_i64_avx2(std::int64_t* acc,
   for (; i < n; ++i) acc[i] += src[i];
 }
 
-constexpr Kernels kAvx2Kernels{axpy_code_i64_avx2, axpy_w32_avx2, add_i64_avx2,
-                               "avx2"};
+__attribute__((target("avx2"))) void axpy_i32_avx2(std::int32_t* acc,
+                                                   const std::int32_t* src,
+                                                   std::int32_t a,
+                                                   std::int64_t n) {
+  // 8 lanes per vector: every product and sum fits int32 (the caller's
+  // proof), so the 32-bit low multiply and add are exact.
+  const __m256i va = _mm256_set1_epi32(a);
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    __m256i s0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    __m256i s1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i + 8));
+    __m256i a0 = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
+    __m256i a1 =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i + 8));
+    a0 = _mm256_add_epi32(a0, _mm256_mullo_epi32(s0, va));
+    a1 = _mm256_add_epi32(a1, _mm256_mullo_epi32(s1, va));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), a0);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i + 8), a1);
+  }
+  for (; i + 8 <= n; i += 8) {
+    __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    __m256i av = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
+    av = _mm256_add_epi32(av, _mm256_mullo_epi32(s, va));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i), av);
+  }
+  for (; i < n; ++i) acc[i] += a * src[i];
+}
+
+__attribute__((target("avx2"))) void add_i32_avx2(std::int32_t* acc,
+                                                  const std::int32_t* src,
+                                                  std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m256i s = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + i));
+    __m256i a = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(acc + i));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(acc + i),
+                        _mm256_add_epi32(a, s));
+  }
+  for (; i < n; ++i) acc[i] += src[i];
+}
+
+struct PopcntInstruction {
+  [[gnu::always_inline]] int operator()(std::uint64_t v) const {
+    return __builtin_popcountll(v);
+  }
+};
+
+__attribute__((target("popcnt"))) void count_spikes_i64_popcnt(
+    std::int64_t* out, const std::int64_t* codes, const std::int32_t* weight,
+    std::int64_t n, std::int64_t batch) {
+  count_spikes_body(out, codes, weight, n, batch, PopcntInstruction{});
+}
+
+/// Set bits of each int32 lane: a nibble lookup per byte, then the four
+/// byte counts of each lane summed.
+__attribute__((target("avx2"))) inline __m256i popcount_epi32(__m256i v) {
+  const __m256i lut = _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2,
+                                       3, 3, 4, 0, 1, 1, 2, 1, 2, 2, 3, 1, 2,
+                                       2, 3, 2, 3, 3, 4);
+  const __m256i nibble = _mm256_set1_epi8(0x0f);
+  const __m256i per_byte = _mm256_add_epi8(
+      _mm256_shuffle_epi8(lut, _mm256_and_si256(v, nibble)),
+      _mm256_shuffle_epi8(lut,
+                          _mm256_and_si256(_mm256_srli_epi16(v, 4), nibble)));
+  return _mm256_madd_epi16(
+      _mm256_maddubs_epi16(per_byte, _mm256_set1_epi8(1)),
+      _mm256_set1_epi16(1));
+}
+
+/// lo/hi += the 8 int32 lanes of `counts`, widened to int64 and times the
+/// int32 `weights` lanes (exact: a 32x32 -> 64-bit multiply).
+__attribute__((target("avx2"))) inline void accumulate_counts(
+    __m256i counts, __m256i weights, __m256i& lo, __m256i& hi) {
+  lo = _mm256_add_epi64(
+      lo, _mm256_mul_epi32(_mm256_cvtepi32_epi64(_mm256_castsi256_si128(counts)),
+                           _mm256_cvtepi32_epi64(
+                               _mm256_castsi256_si128(weights))));
+  hi = _mm256_add_epi64(
+      hi, _mm256_mul_epi32(
+              _mm256_cvtepi32_epi64(_mm256_extracti128_si256(counts, 1)),
+              _mm256_cvtepi32_epi64(_mm256_extracti128_si256(weights, 1))));
+}
+
+__attribute__((target("avx2,popcnt"))) void count_spikes_i32_avx2(
+    std::int64_t* out, const std::int32_t* codes, const std::int32_t* weight,
+    std::int64_t n, std::int64_t batch) {
+  const __m256i ones = _mm256_set1_epi32(1);
+  if (batch == 1) {  // contiguous codes: 8 per vector
+    __m256i lo = _mm256_setzero_si256(), hi = _mm256_setzero_si256();
+    std::int64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      const __m256i w =
+          weight == nullptr
+              ? ones
+              : _mm256_loadu_si256(reinterpret_cast<const __m256i*>(weight + i));
+      accumulate_counts(popcount_epi32(_mm256_loadu_si256(
+                            reinterpret_cast<const __m256i*>(codes + i))),
+                        w, lo, hi);
+    }
+    alignas(32) std::int64_t lanes[4];
+    _mm256_store_si256(reinterpret_cast<__m256i*>(lanes),
+                       _mm256_add_epi64(lo, hi));
+    std::int64_t total = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+    for (; i < n; ++i)
+      total += std::int64_t{__builtin_popcount(
+                   static_cast<std::uint32_t>(codes[i]))} *
+               (weight == nullptr ? 1 : weight[i]);
+    out[0] += total;
+    return;
+  }
+  // Interleaved: 8 images per vector, one pixel after another; images past
+  // the last whole vector are counted one by one.
+  std::int64_t b0 = 0;
+  for (; b0 + 8 <= batch; b0 += 8) {
+    __m256i lo = _mm256_setzero_si256(), hi = _mm256_setzero_si256();
+    for (std::int64_t i = 0; i < n; ++i) {
+      const std::int32_t w = weight == nullptr ? 1 : weight[i];
+      if (w == 0) continue;
+      accumulate_counts(popcount_epi32(_mm256_loadu_si256(
+                            reinterpret_cast<const __m256i*>(
+                                codes + i * batch + b0))),
+                        _mm256_set1_epi32(w), lo, hi);
+    }
+    __m256i* o = reinterpret_cast<__m256i*>(out + b0);
+    _mm256_storeu_si256(o, _mm256_add_epi64(_mm256_loadu_si256(o), lo));
+    _mm256_storeu_si256(o + 1,
+                        _mm256_add_epi64(_mm256_loadu_si256(o + 1), hi));
+  }
+  if (b0 == batch) return;
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::int64_t w = weight == nullptr ? 1 : weight[i];
+    for (std::int64_t b = b0; b < batch; ++b)
+      out[b] += std::int64_t{__builtin_popcount(
+                    static_cast<std::uint32_t>(codes[i * batch + b]))} *
+                w;
+  }
+}
+
+constexpr Kernels kAvx2Kernels{axpy_code_i64_avx2,      axpy_w32_avx2,
+                               add_i64_avx2,            axpy_i32_avx2,
+                               add_i32_avx2,            count_spikes_i64_popcnt,
+                               count_spikes_i32_avx2,   "avx2"};
 
 #endif  // RSNN_SIMD_X86
 
@@ -174,8 +378,28 @@ void add_i64_neon(std::int64_t* acc, const std::int64_t* src, std::int64_t n) {
   for (; i < n; ++i) acc[i] += src[i];
 }
 
-constexpr Kernels kNeonKernels{axpy_code_i64_neon, axpy_w32_neon, add_i64_neon,
-                               "neon"};
+void axpy_i32_neon(std::int32_t* acc, const std::int32_t* src, std::int32_t a,
+                   std::int64_t n) {
+  const int32x4_t va = vdupq_n_s32(a);
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    vst1q_s32(acc + i, vmlaq_s32(vld1q_s32(acc + i), vld1q_s32(src + i), va));
+  for (; i < n; ++i) acc[i] += a * src[i];
+}
+
+void add_i32_neon(std::int32_t* acc, const std::int32_t* src, std::int64_t n) {
+  std::int64_t i = 0;
+  for (; i + 4 <= n; i += 4)
+    vst1q_s32(acc + i, vaddq_s32(vld1q_s32(acc + i), vld1q_s32(src + i)));
+  for (; i < n; ++i) acc[i] += src[i];
+}
+
+// AArch64's baseline std::popcount is already the CNT instruction, so the
+// portable counters are the NEON table's too.
+constexpr Kernels kNeonKernels{axpy_code_i64_neon,      axpy_w32_neon,
+                               add_i64_neon,            axpy_i32_neon,
+                               add_i32_neon,            count_spikes_i64_scalar,
+                               count_spikes_i32_scalar, "neon"};
 
 #endif  // RSNN_SIMD_NEON
 
@@ -186,7 +410,9 @@ constexpr Kernels kNeonKernels{axpy_code_i64_neon, axpy_w32_neon, add_i64_neon,
 const Kernels& best_kernels() {
 #if RSNN_SIMD_X86
   static const Kernels* best = [] {
-    return __builtin_cpu_supports("avx2") ? &kAvx2Kernels : &kScalarKernels;
+    return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("popcnt")
+               ? &kAvx2Kernels
+               : &kScalarKernels;
   }();
   return *best;
 #elif RSNN_SIMD_NEON

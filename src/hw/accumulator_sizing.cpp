@@ -19,63 +19,63 @@ int bits_for_range(std::int64_t lo, std::int64_t hi) {
   return bits;
 }
 
-/// Range of one output channel: per step the partial sum lies in
-/// [neg, pos] (a silent input gives 0, so neg <= 0 <= pos); the radix
-/// accumulation over T steps scales both extremes by (2^T - 1) and the
-/// channel's bias is added once.
-AccumulatorRange channel_range(std::int64_t neg, std::int64_t pos,
-                               std::int64_t bias, int time_steps) {
-  const std::int64_t weight = (std::int64_t{1} << time_steps) - 1;
-  AccumulatorRange r;
-  r.min_value = neg * weight + bias;
-  r.max_value = pos * weight + bias;
+}  // namespace
+
+LayerRangeBuilder::LayerRangeBuilder(int time_steps) {
+  RSNN_REQUIRE(time_steps >= 1 && time_steps <= 30);
+  code_max_ = (std::int64_t{1} << time_steps) - 1;
+}
+
+void LayerRangeBuilder::add_channel(const std::int32_t* weights,
+                                    std::int64_t fan_in, std::int64_t bias) {
+  // Worst case per output channel: positive weights all firing (max) or
+  // negative weights all firing (min) across the receptive field, at every
+  // step; the radix accumulation over T steps scales both by (2^T - 1)
+  // and the bias is added once. A silent input gives 0, so neg <= 0 <= pos.
+  // Sum and magnitude sum instead of a sign test: weight signs are random,
+  // so a branch per weight mispredicts across the whole model at set-up.
+  std::int64_t sum = 0, magnitude = 0;
+  for (std::int64_t i = 0; i < fan_in; ++i) {
+    const std::int64_t w = weights[i];
+    sum += w;
+    magnitude += w < 0 ? -w : w;
+  }
+  const std::int64_t pos = (sum + magnitude) / 2;
+  const std::int64_t neg = (sum - magnitude) / 2;
+  range_.partial_min = std::min(range_.partial_min, neg * code_max_);
+  range_.partial_max = std::max(range_.partial_max, pos * code_max_);
+  range_.min_value = std::min(range_.min_value, neg * code_max_ + bias);
+  range_.max_value = std::max(range_.max_value, pos * code_max_ + bias);
+}
+
+AccumulatorRange LayerRangeBuilder::range() const {
+  // The widest channel's bit count is the bit count of the merged extremes.
+  AccumulatorRange r = range_;
   r.required_bits = bits_for_range(r.min_value, r.max_value);
   return r;
 }
 
-void merge(AccumulatorRange& total, const AccumulatorRange& channel) {
-  total.min_value = std::min(total.min_value, channel.min_value);
-  total.max_value = std::max(total.max_value, channel.max_value);
-  total.required_bits = std::max(total.required_bits, channel.required_bits);
-}
-
-}  // namespace
-
 AccumulatorRange conv_accumulator_range(const quant::QConv2d& conv,
                                         int time_steps) {
-  RSNN_REQUIRE(time_steps >= 1 && time_steps <= 30);
-  // Worst case per output channel: positive weights all firing (max) or
-  // negative weights all firing (min), across the Cin * K * K receptive
-  // field; then the widest channel wins.
-  AccumulatorRange total;
-  for (std::int64_t oc = 0; oc < conv.out_channels; ++oc) {
-    std::int64_t pos = 0, neg = 0;
-    for (std::int64_t ic = 0; ic < conv.in_channels; ++ic)
-      for (std::int64_t ky = 0; ky < conv.kernel; ++ky)
-        for (std::int64_t kx = 0; kx < conv.kernel; ++kx) {
-          const std::int64_t w = conv.weight(oc, ic, ky, kx);
-          if (w > 0) pos += w;
-          if (w < 0) neg += w;
-        }
-    merge(total, channel_range(neg, pos, conv.bias(oc), time_steps));
-  }
-  return total;
+  const std::int64_t fan_in = conv.in_channels * conv.kernel * conv.kernel;
+  RSNN_REQUIRE(conv.weight.numel() == conv.out_channels * fan_in &&
+               conv.bias.numel() == conv.out_channels);
+  LayerRangeBuilder builder(time_steps);
+  for (std::int64_t oc = 0; oc < conv.out_channels; ++oc)
+    builder.add_channel(conv.weight.data() + oc * fan_in, fan_in,
+                        conv.bias.data()[oc]);
+  return builder.range();
 }
 
 AccumulatorRange linear_accumulator_range(const quant::QLinear& fc,
                                           int time_steps) {
-  RSNN_REQUIRE(time_steps >= 1 && time_steps <= 30);
-  AccumulatorRange total;
-  for (std::int64_t o = 0; o < fc.out_features; ++o) {
-    std::int64_t pos = 0, neg = 0;
-    for (std::int64_t i = 0; i < fc.in_features; ++i) {
-      const std::int64_t w = fc.weight(o, i);
-      if (w > 0) pos += w;
-      if (w < 0) neg += w;
-    }
-    merge(total, channel_range(neg, pos, fc.bias(o), time_steps));
-  }
-  return total;
+  RSNN_REQUIRE(fc.weight.numel() == fc.out_features * fc.in_features &&
+               fc.bias.numel() == fc.out_features);
+  LayerRangeBuilder builder(time_steps);
+  for (std::int64_t o = 0; o < fc.out_features; ++o)
+    builder.add_channel(fc.weight.data() + o * fc.in_features,
+                        fc.in_features, fc.bias.data()[o]);
+  return builder.range();
 }
 
 AccumulatorRange pool_range_for_window(std::int64_t window, int time_steps) {

@@ -2,16 +2,17 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <tuple>
 
 #include "common/assert.hpp"
 #include "common/simd.hpp"
+#include "hw/accumulator_sizing.hpp"
 #include "quant/qnetwork.hpp"
 
 namespace rsnn::hw {
@@ -42,13 +43,6 @@ inline void prefetch_ro(const void* p) {
 /// hardware predictor loses the stream.
 constexpr std::int64_t kPrefetchRows = 2;
 
-std::int64_t popcount_sum(const std::int64_t* values, std::int64_t count) {
-  std::int64_t total = 0;
-  for (std::int64_t i = 0; i < count; ++i)
-    total += std::popcount(static_cast<std::uint64_t>(values[i]));
-  return total;
-}
-
 /// Output positions [lo, hi) reached by kernel offset `j` along one axis:
 /// those o with 0 <= o*str + j - pad < in_extent. Hoisting the bound out of
 /// the inner loops removes every per-tap validity branch.
@@ -68,14 +62,19 @@ AxisBounds out_bounds(std::int64_t j, std::int64_t pad, std::int64_t str,
   return {lo, hi};
 }
 
-// --- One kernel family, two instances --------------------------------------
+// --- One kernel family, four instances -------------------------------------
 // Activations travel between ops interleaved image-minor: buf[idx * B + b]
 // is element idx (CHW order) of image b. Every kernel below is templated on
-// a compile-time batch width kB: kB == 1 is the single-image instance (every
-// per-image loop is one compile-time iteration, and the per-image SIMD calls
-// of length 1 become inline scalar updates), while kB == 0 takes the width
-// from the slice at run time. A slice picks its instance from its own B, so
-// one image is exactly a batch of one.
+// two compile-time parameters:
+//   * the batch width kB: kB == 1 is the single-image instance (every
+//     per-image loop is one compile-time iteration, and the per-image SIMD
+//     calls of length 1 become inline scalar updates), while kB == 0 takes
+//     the width from the slice at run time. A slice picks its instance from
+//     its own B, so one image is exactly a batch of one;
+//   * the word W of every activation and accumulator: int32_t when the
+//     prepared pack proved every value of the program fits in int32
+//     (FastPrepared::word_bits), int64_t otherwise. The run picks its
+//     instance from the pack.
 
 /// Images handled by a kB instance called with run-time width `batch`.
 template <int kB>
@@ -83,23 +82,64 @@ constexpr std::int64_t width(std::int64_t batch) {
   return kB == 0 ? batch : kB;
 }
 
+// The dispatch-table primitive of each word width. The int32 words use one
+// axpy for both the code-major (CHW) and the weight-row (HWC, linear) loops.
+
+inline void axpy_codes(const Kernels& K, std::int64_t* acc,
+                       const std::int64_t* src, std::int64_t w,
+                       std::int64_t n) {
+  K.axpy_code_i64(acc, src, w, n);
+}
+inline void axpy_codes(const Kernels& K, std::int32_t* acc,
+                       const std::int32_t* src, std::int32_t w,
+                       std::int64_t n) {
+  K.axpy_i32(acc, src, w, n);
+}
+inline void axpy_weights(const Kernels& K, std::int64_t* acc,
+                         const std::int32_t* w, std::int64_t a,
+                         std::int64_t n) {
+  K.axpy_w32(acc, w, a, n);
+}
+inline void axpy_weights(const Kernels& K, std::int32_t* acc,
+                         const std::int32_t* w, std::int32_t a,
+                         std::int64_t n) {
+  K.axpy_i32(acc, w, a, n);
+}
+inline void add_words(const Kernels& K, std::int64_t* acc,
+                      const std::int64_t* src, std::int64_t n) {
+  K.add_i64(acc, src, n);
+}
+inline void add_words(const Kernels& K, std::int32_t* acc,
+                      const std::int32_t* src, std::int64_t n) {
+  K.add_i32(acc, src, n);
+}
+inline void count_spikes(const Kernels& K, std::int64_t* out,
+                         const std::int64_t* codes, const std::int32_t* weight,
+                         std::int64_t n, std::int64_t batch) {
+  K.count_spikes_i64(out, codes, weight, n, batch);
+}
+inline void count_spikes(const Kernels& K, std::int64_t* out,
+                         const std::int32_t* codes, const std::int32_t* weight,
+                         std::int64_t n, std::int64_t batch) {
+  K.count_spikes_i32(out, codes, weight, n, batch);
+}
+
 /// acc[b] += w * src[b] over one pixel's B images.
-template <int kB>
-void axpy_pixel(const Kernels& K, std::int64_t* acc, const std::int64_t* src,
-                std::int64_t w, std::int64_t batch) {
+template <int kB, class W>
+void axpy_pixel(const Kernels& K, W* acc, const W* src, W w,
+                std::int64_t batch) {
   if constexpr (kB == 0) {
-    K.axpy_code_i64(acc, src, w, batch);
+    axpy_codes(K, acc, src, w, batch);
   } else {
     for (std::int64_t b = 0; b < kB; ++b) acc[b] += w * src[b];
   }
 }
 
 /// acc[b] += src[b] over one pixel's B images.
-template <int kB>
-void add_pixel(const Kernels& K, std::int64_t* acc, const std::int64_t* src,
-               std::int64_t batch) {
+template <int kB, class W>
+void add_pixel(const Kernels& K, W* acc, const W* src, std::int64_t batch) {
   if constexpr (kB == 0) {
-    K.add_i64(acc, src, batch);
+    add_words(K, acc, src, batch);
   } else {
     for (std::int64_t b = 0; b < kB; ++b) acc[b] += src[b];
   }
@@ -107,66 +147,34 @@ void add_pixel(const Kernels& K, std::int64_t* acc, const std::int64_t* src,
 
 // --- Per-image counters ----------------------------------------------------
 // Each counter accumulates into a per-image slot, so every image's stats are
-// exactly those of its own run whatever batch it shares.
+// exactly those of its own run whatever batch it shares. The popcounts run
+// in the dispatch table's spike counter, one call per plane.
 
-template <int kB>
-void popcount_per_image(const std::int64_t* buf, std::int64_t n,
-                        std::int64_t batch, std::int64_t* out) {
+/// Input spikes of every image: popcount of all `n` codes.
+template <int kB, class W>
+void spikes_per_image(const Kernels& K, const W* buf, std::int64_t n,
+                      std::int64_t batch, std::int64_t* out) {
   const std::int64_t B = width<kB>(batch);
   std::fill(out, out + B, std::int64_t{0});
-  for (std::int64_t i = 0; i < n; ++i) {
-    const std::int64_t* px = buf + i * B;
-    for (std::int64_t b = 0; b < B; ++b)
-      out[b] += std::popcount(static_cast<std::uint64_t>(px[b]));
-  }
+  count_spikes(K, out, buf, nullptr, n, B);
 }
 
-/// exact_adder_ops for a conv op, via the prepared coverage tables: a spike
-/// at (ic, iy, ix) fires county[iy] * countx[ix] adders in each of the Cout
-/// output planes.
-template <int kB>
-void conv_adder_ops_per_image(const std::int64_t* in, std::int64_t cin,
-                              std::int64_t ih, std::int64_t iw,
-                              const std::int64_t* county,
-                              const std::int64_t* countx, std::int64_t cout,
-                              std::int64_t batch, std::int64_t* out) {
+/// exact_adder_ops of a conv or pool op, via its prepared coverage table: a
+/// spike at plane position p fires coverage[p] adders per output plane
+/// (`planes_out` of them for a conv, one for a pool). An empty table means
+/// every position counts once.
+template <int kB, class W>
+void adder_ops_per_image(const Kernels& K, const W* in, std::int64_t planes,
+                         std::int64_t plane_size,
+                         const std::vector<std::int32_t>& coverage,
+                         std::int64_t planes_out, std::int64_t batch,
+                         std::int64_t* out) {
   const std::int64_t B = width<kB>(batch);
   std::fill(out, out + B, std::int64_t{0});
-  const std::int64_t* p = in;
-  for (std::int64_t c = 0; c < cin; ++c) {
-    for (std::int64_t y = 0; y < ih; ++y) {
-      const std::int64_t cy = county[y];
-      for (std::int64_t x = 0; x < iw; ++x, p += B) {
-        const std::int64_t f = cy * countx[x];
-        if (f == 0) continue;
-        for (std::int64_t b = 0; b < B; ++b)
-          out[b] += std::popcount(static_cast<std::uint64_t>(p[b])) * f;
-      }
-    }
-  }
-  for (std::int64_t b = 0; b < B; ++b) out[b] *= cout;
-}
-
-/// exact_adder_ops for a pool op: spikes within the covered region
-/// (iy / k < oh, ix / k < ow) each fire one adder.
-template <int kB>
-void pool_covered_per_image(const std::int64_t* in, std::int64_t channels,
-                            std::int64_t ih, std::int64_t iw, std::int64_t k,
-                            std::int64_t oh, std::int64_t ow,
-                            std::int64_t batch, std::int64_t* out) {
-  const std::int64_t B = width<kB>(batch);
-  std::fill(out, out + B, std::int64_t{0});
-  const std::int64_t* p = in;
-  for (std::int64_t c = 0; c < channels; ++c) {
-    for (std::int64_t y = 0; y < ih; ++y) {
-      const bool y_covered = y / k < oh;
-      for (std::int64_t x = 0; x < iw; ++x, p += B) {
-        if (!y_covered || x / k >= ow) continue;
-        for (std::int64_t b = 0; b < B; ++b)
-          out[b] += std::popcount(static_cast<std::uint64_t>(p[b]));
-      }
-    }
-  }
+  const std::int32_t* weight = coverage.empty() ? nullptr : coverage.data();
+  for (std::int64_t c = 0; c < planes; ++c)
+    count_spikes(K, out, in + c * plane_size * B, weight, plane_size, B);
+  for (std::int64_t b = 0; b < B; ++b) out[b] *= planes_out;
 }
 
 // --- Conv kernels, CHW -----------------------------------------------------
@@ -178,34 +186,33 @@ void pool_covered_per_image(const std::int64_t* in, std::int64_t channels,
 /// consecutive interleaved input pixels, so a whole row segment of all B
 /// images is ONE SIMD axpy of length (hi-lo)*B — the weight is loaded once
 /// for the entire batch row.
-template <int kB>
-void conv_channel_chw_batched(const QConv2d& conv, const std::int64_t* in,
+template <int kB, class W>
+void conv_channel_chw_batched(const QConv2d& conv, const W* in,
                               std::int64_t ih, std::int64_t iw, std::int64_t oh,
                               std::int64_t ow, std::int64_t oc,
-                              std::int64_t batch, const Kernels& K,
-                              std::int64_t* acc) {
+                              std::int64_t batch, const Kernels& K, W* acc) {
   const std::int64_t B = width<kB>(batch);
-  std::fill(acc, acc + oh * ow * B, std::int64_t{0});
+  std::fill(acc, acc + oh * ow * B, W{0});
   const std::int64_t k = conv.kernel, str = conv.stride, pad = conv.padding;
   const std::int32_t* wbase =
       conv.weight.data() + oc * conv.in_channels * k * k;
   for (std::int64_t ic = 0; ic < conv.in_channels; ++ic) {
-    const std::int64_t* plane = in + ic * ih * iw * B;
+    const W* plane = in + ic * ih * iw * B;
     const std::int32_t* wch = wbase + ic * k * k;
     for (std::int64_t ky = 0; ky < k; ++ky) {
       const AxisBounds by = out_bounds(ky, pad, str, ih, oh);
       for (std::int64_t kx = 0; kx < k; ++kx) {
-        const std::int64_t w = wch[ky * k + kx];
+        const W w = wch[ky * k + kx];
         if (w == 0) continue;
         const AxisBounds bx = out_bounds(kx, pad, str, iw, ow);
         const std::int64_t x0 = kx - pad;
         for (std::int64_t oy = by.lo; oy < by.hi; ++oy) {
-          const std::int64_t* row = plane + (oy * str + ky - pad) * iw * B;
-          std::int64_t* arow = acc + (oy * ow + bx.lo) * B;
+          const W* row = plane + (oy * str + ky - pad) * iw * B;
+          W* arow = acc + (oy * ow + bx.lo) * B;
           prefetch_ro(row + str * iw * B);  // next oy's input row
           if (str == 1) {
-            K.axpy_code_i64(arow, row + (x0 + bx.lo) * B, w,
-                            (bx.hi - bx.lo) * B);
+            axpy_codes(K, arow, row + (x0 + bx.lo) * B, w,
+                       (bx.hi - bx.lo) * B);
           } else {
             for (std::int64_t ox = bx.lo; ox < bx.hi; ++ox, arow += B)
               axpy_pixel<kB>(K, arow, row + (x0 + ox * str) * B, w, B);
@@ -218,19 +225,37 @@ void conv_channel_chw_batched(const QConv2d& conv, const std::int64_t* in,
 
 /// Requantize (or bias-add, for the raw final layer) one output channel's
 /// accumulator plane in place. The transform is elementwise and identical
-/// for every image, so it runs unchanged over an interleaved plane.
+/// for every image, so it runs unchanged over an interleaved plane. The
+/// arithmetic is int64; the result fits W (a T-bit code, or a raw
+/// `acc + bias` inside the proven range).
+template <class W>
 void finish_channel(const QConv2d& conv, std::int64_t oc, int time_bits,
-                    std::int64_t* acc, std::int64_t count) {
+                    W* acc, std::int64_t count) {
   const std::int64_t bias = conv.bias.data()[oc];
   if (!conv.requantize) {
-    for (std::int64_t i = 0; i < count; ++i) acc[i] += bias;
+    for (std::int64_t i = 0; i < count; ++i)
+      acc[i] = static_cast<W>(acc[i] + bias);
     return;
   }
   const int frac = conv.channel_frac.numel() > 0
                        ? conv.channel_frac.data()[oc]
                        : conv.frac_bits;
-  for (std::int64_t i = 0; i < count; ++i)
-    acc[i] = quant::requantize_value(acc[i], bias, frac, time_bits);
+  // quant::requantize_value with the channel's shift direction and the
+  // saturation bound hoisted out of the per-element loop, and without a
+  // branch on the sign (about half of all conv outputs are negative, so a
+  // branch there mispredicts constantly).
+  const std::int64_t code_max = (std::int64_t{1} << time_bits) - 1;
+  const auto saturate = [code_max](std::int64_t v) {
+    v &= ~(v >> 63);  // negative -> 0
+    return static_cast<W>(v > code_max ? code_max : v);
+  };
+  if (frac >= 0) {
+    for (std::int64_t i = 0; i < count; ++i)
+      acc[i] = saturate((acc[i] + bias) >> frac);
+  } else {
+    for (std::int64_t i = 0; i < count; ++i)
+      acc[i] = saturate((acc[i] + bias) << -frac);
+  }
 }
 
 // --- Conv kernels, HWC -----------------------------------------------------
@@ -242,12 +267,13 @@ void finish_channel(const QConv2d& conv, std::int64_t oc, int time_bits,
 constexpr std::int64_t kHwcTileBytes = 256 * 1024;
 
 /// Output rows per HWC strip: as many as keep the strip's input rows
-/// ((strip-1)*stride + k of them) under the tile budget, at least 1.
+/// ((strip-1)*stride + k of them, `word_bytes` per value) under the tile
+/// budget, at least 1.
 std::int64_t hwc_strip_height(std::int64_t iw, std::int64_t cin,
-                              std::int64_t batch, std::int64_t k,
-                              std::int64_t str, std::int64_t oh) {
-  const std::int64_t row_bytes =
-      iw * cin * batch * static_cast<std::int64_t>(sizeof(std::int64_t));
+                              std::int64_t batch, std::int64_t word_bytes,
+                              std::int64_t k, std::int64_t str,
+                              std::int64_t oh) {
+  const std::int64_t row_bytes = iw * cin * batch * word_bytes;
   std::int64_t rows = kHwcTileBytes / std::max<std::int64_t>(row_bytes, 1);
   if (rows < k) rows = k;
   const std::int64_t strip = (rows - k) / str + 1;
@@ -262,20 +288,21 @@ std::int64_t hwc_strip_height(std::int64_t iw, std::int64_t cin,
 /// [ky][kx][Cin][Cout] weights, so each weight row is applied to every image
 /// while it is hot in cache; zero activations (spike sparsity) are skipped
 /// and the contiguous output-channel loop goes to the SIMD dispatch table.
-template <int kB>
-void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
-                      std::int64_t ih, std::int64_t iw, std::int64_t oh,
-                      std::int64_t ow, const std::int32_t* whwc, int time_bits,
+template <int kB, class W>
+void conv_hwc_batched(const QConv2d& conv, const W* in, std::int64_t ih,
+                      std::int64_t iw, std::int64_t oh, std::int64_t ow,
+                      const std::int32_t* whwc, int time_bits,
                       std::int64_t batch, const Kernels& K,
-                      common::Arena& arena, std::int64_t* out_hwcb) {
+                      common::Arena& arena, W* out_hwcb) {
   const std::int64_t B = width<kB>(batch);
   const std::int64_t cin = conv.in_channels, cout = conv.out_channels;
   const std::int64_t k = conv.kernel, str = conv.stride, pad = conv.padding;
 
-  const std::int64_t strip_oh = hwc_strip_height(iw, cin, B, k, str, oh);
+  const std::int64_t strip_oh =
+      hwc_strip_height(iw, cin, B, sizeof(W), k, str, oh);
   const std::int64_t rows_cap = std::min(ih, (strip_oh - 1) * str + k);
-  std::int64_t* tile = arena.alloc<std::int64_t>(rows_cap * iw * cin * B);
-  std::int64_t* acc = arena.alloc<std::int64_t>(B * cout);
+  W* tile = arena.alloc<W>(rows_cap * iw * cin * B);
+  W* acc = arena.alloc<W>(B * cout);
   const std::int64_t* bias = conv.bias.data();
   const std::int32_t* cf =
       conv.channel_frac.numel() > 0 ? conv.channel_frac.data() : nullptr;
@@ -287,49 +314,49 @@ void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
         std::max(ty0, std::min(ih, (oy1 - 1) * str + k - pad));
     for (std::int64_t c = 0; c < cin; ++c) {
       for (std::int64_t iy = ty0; iy < ty1; ++iy) {
-        const std::int64_t* srow = in + ((c * ih + iy) * iw) * B;
+        const W* srow = in + ((c * ih + iy) * iw) * B;
         for (std::int64_t ix = 0; ix < iw; ++ix)
           std::memcpy(tile + (((iy - ty0) * iw + ix) * cin + c) * B,
-                      srow + ix * B,
-                      static_cast<std::size_t>(B) * sizeof(std::int64_t));
+                      srow + ix * B, static_cast<std::size_t>(B) * sizeof(W));
       }
     }
     for (std::int64_t oy = oy0; oy < oy1; ++oy) {
       for (std::int64_t ox = 0; ox < ow; ++ox) {
-        std::fill(acc, acc + B * cout, std::int64_t{0});
+        std::fill(acc, acc + B * cout, W{0});
         for (std::int64_t ky = 0; ky < k; ++ky) {
           const std::int64_t iy = oy * str + ky - pad;
           if (iy < 0 || iy >= ih) continue;
           for (std::int64_t kx = 0; kx < k; ++kx) {
             const std::int64_t ix = ox * str + kx - pad;
             if (ix < 0 || ix >= iw) continue;
-            const std::int64_t* px = tile + ((iy - ty0) * iw + ix) * cin * B;
+            const W* px = tile + ((iy - ty0) * iw + ix) * cin * B;
             const std::int32_t* wk = whwc + (ky * k + kx) * cin * cout;
             for (std::int64_t ic = 0; ic < cin; ++ic) {
               const std::int32_t* wrow = wk + ic * cout;
-              const std::int64_t* a_b = px + ic * B;
+              const W* a_b = px + ic * B;
               // [cin][cout] rows are contiguous across taps, so the
               // prefetch rolls into the next tap's tile at block ends.
               prefetch_ro(wrow + kPrefetchRows * cout);
               for (std::int64_t b = 0; b < B; ++b) {
-                const std::int64_t a = a_b[b];
+                const W a = a_b[b];
                 if (a == 0) continue;
-                K.axpy_w32(acc + b * cout, wrow, a, cout);
+                axpy_weights(K, acc + b * cout, wrow, a, cout);
               }
             }
           }
         }
-        std::int64_t* dst = out_hwcb + (oy * ow + ox) * B * cout;
+        W* dst = out_hwcb + (oy * ow + ox) * B * cout;
         for (std::int64_t b = 0; b < B; ++b) {
-          const std::int64_t* arow = acc + b * cout;
-          std::int64_t* drow = dst + b * cout;
+          const W* arow = acc + b * cout;
+          W* drow = dst + b * cout;
           if (conv.requantize) {
             for (std::int64_t oc = 0; oc < cout; ++oc)
-              drow[oc] = quant::requantize_value(
-                  arow[oc], bias[oc], cf ? cf[oc] : conv.frac_bits, time_bits);
+              drow[oc] = static_cast<W>(quant::requantize_value(
+                  arow[oc], bias[oc], cf ? cf[oc] : conv.frac_bits,
+                  time_bits));
           } else {
             for (std::int64_t oc = 0; oc < cout; ++oc)
-              drow[oc] = arow[oc] + bias[oc];
+              drow[oc] = static_cast<W>(arow[oc] + bias[oc]);
           }
         }
       }
@@ -342,20 +369,19 @@ void conv_hwc_batched(const QConv2d& conv, const std::int64_t* in,
 /// Average-pool one interleaved CHW plane, mirroring quant pool_forward:
 /// window sum then arithmetic right shift. Each window tap is an
 /// elementwise add of all B images' pixels. `acc` is caller scratch of B.
-template <int kB>
-void pool_plane_batched(const std::int64_t* plane, std::int64_t iw,
-                        std::int64_t k, int shift, std::int64_t oh,
-                        std::int64_t ow, std::int64_t batch, const Kernels& K,
-                        std::int64_t* acc, std::int64_t* out) {
+template <int kB, class W>
+void pool_plane_batched(const W* plane, std::int64_t iw, std::int64_t k,
+                        int shift, std::int64_t oh, std::int64_t ow,
+                        std::int64_t batch, const Kernels& K, W* acc, W* out) {
   const std::int64_t B = width<kB>(batch);
   for (std::int64_t oy = 0; oy < oh; ++oy) {
     for (std::int64_t ox = 0; ox < ow; ++ox) {
-      std::fill(acc, acc + B, std::int64_t{0});
-      const std::int64_t* win = plane + (oy * k * iw + ox * k) * B;
+      std::fill(acc, acc + B, W{0});
+      const W* win = plane + (oy * k * iw + ox * k) * B;
       for (std::int64_t ky = 0; ky < k; ++ky)
         for (std::int64_t kx = 0; kx < k; ++kx)
           add_pixel<kB>(K, acc, win + (ky * iw + kx) * B, B);
-      std::int64_t* o = out + (oy * ow + ox) * B;
+      W* o = out + (oy * ow + ox) * B;
       for (std::int64_t b = 0; b < B; ++b) o[b] = acc[b] >> shift;
     }
   }
@@ -369,36 +395,37 @@ void pool_plane_batched(const std::int64_t* plane, std::int64_t iw,
 /// ([B][nout]), so the weight matrix is streamed once per batch. The rows
 /// are re-interleaved image-minor into `out`; a single image accumulates
 /// straight into `out`, whose layout is then the same.
-template <int kB>
-void linear_fast_batched(const QLinear& fc, const std::int64_t* in,
+template <int kB, class W>
+void linear_fast_batched(const QLinear& fc, const W* in,
                          const std::int32_t* wt, int time_bits,
                          std::int64_t batch, const Kernels& K,
-                         common::Arena& arena, std::int64_t* out) {
+                         common::Arena& arena, W* out) {
   const std::int64_t B = width<kB>(batch);
   const std::int64_t nin = fc.in_features, nout = fc.out_features;
-  std::int64_t* acc = kB == 1 ? out : arena.alloc<std::int64_t>(B * nout);
-  std::fill(acc, acc + B * nout, std::int64_t{0});
+  W* acc = kB == 1 ? out : arena.alloc<W>(B * nout);
+  std::fill(acc, acc + B * nout, W{0});
   for (std::int64_t i = 0; i < nin; ++i) {
-    const std::int64_t* px = in + i * B;
+    const W* px = in + i * B;
     const std::int32_t* wrow = wt + i * nout;
     prefetch_ro(wrow + kPrefetchRows * nout);
     for (std::int64_t b = 0; b < B; ++b) {
-      const std::int64_t a = px[b];
+      const W a = px[b];
       if (a == 0) continue;
-      K.axpy_w32(acc + b * nout, wrow, a, nout);
+      axpy_weights(K, acc + b * nout, wrow, a, nout);
     }
   }
   const std::int64_t* bias = fc.bias.data();
   const std::int32_t* cf =
       fc.channel_frac.numel() > 0 ? fc.channel_frac.data() : nullptr;
   for (std::int64_t b = 0; b < B; ++b) {
-    std::int64_t* row = acc + b * nout;
+    W* row = acc + b * nout;
     if (!fc.requantize) {
-      for (std::int64_t o = 0; o < nout; ++o) row[o] += bias[o];
+      for (std::int64_t o = 0; o < nout; ++o)
+        row[o] = static_cast<W>(row[o] + bias[o]);
     } else {
       for (std::int64_t o = 0; o < nout; ++o)
-        row[o] = quant::requantize_value(row[o], bias[o],
-                                         cf ? cf[o] : fc.frac_bits, time_bits);
+        row[o] = static_cast<W>(quant::requantize_value(
+            row[o], bias[o], cf ? cf[o] : fc.frac_bits, time_bits));
     }
     if constexpr (kB != 1)
       for (std::int64_t o = 0; o < nout; ++o) out[o * B + b] = row[o];
@@ -416,11 +443,53 @@ LayerStats annotated_stats(const ir::LayerOp& op) {
   return stats;
 }
 
+/// True when every value of [lo, hi] is an int32.
+bool fits_i32(std::int64_t lo, std::int64_t hi) {
+  return lo >= std::numeric_limits<std::int32_t>::min() &&
+         hi <= std::numeric_limits<std::int32_t>::max();
+}
+
+/// The int32 words hold a conv/linear op when every running partial sum
+/// does and, for the raw final layer, `acc + bias` does too (a requantized
+/// layer shifts and saturates in int64 before narrowing to a T-bit code).
+bool layer_fits_i32(const AccumulatorRange& r, bool requantize) {
+  return fits_i32(r.partial_min, r.partial_max) &&
+         (requantize || fits_i32(r.min_value, r.max_value));
+}
+
+/// Feed every weight row (one output channel: `fan_in` weights, its bias)
+/// to `range`, and — when `dst` is non-null — scatter it output-channel-
+/// minor: element j of row r lands at dst[dst_row[j] * rows + r]. Rows go
+/// in blocks of 16, so the block's source rows stay cached between the
+/// range pass and the scatter, and each destination line is written whole
+/// instead of one strided store per cache miss.
+void fold_and_repack(const std::int32_t* w, const std::int64_t* bias,
+                     std::int64_t rows, std::int64_t fan_in,
+                     const std::vector<std::int64_t>& dst_row,
+                     LayerRangeBuilder& range, std::int32_t* dst) {
+  constexpr std::int64_t kBlock = 16;
+  for (std::int64_t r0 = 0; r0 < rows; r0 += kBlock) {
+    const std::int64_t r1 = std::min(rows, r0 + kBlock);
+    for (std::int64_t r = r0; r < r1; ++r)
+      range.add_channel(w + r * fan_in, fan_in, bias[r]);
+    if (dst == nullptr) continue;
+    for (std::int64_t j = 0; j < fan_in; ++j) {
+      std::int32_t* d = dst + dst_row[static_cast<std::size_t>(j)] * rows;
+      for (std::int64_t r = r0; r < r1; ++r) d[r] = w[r * fan_in + j];
+    }
+  }
+}
+
 }  // namespace
 
 FastPrepared prepare_fast_path(const ir::LayerProgram& program) {
   FastPrepared prep;
   prep.ops.resize(program.size());
+  const int T = program.time_bits();
+  // The word-width proof rides along the repack: each block of weight rows
+  // is fed to the accumulator bound right before it is scattered, so
+  // proving costs no extra trip to memory. Input codes are T-bit.
+  bool fits = fits_i32(0, (std::int64_t{1} << T) - 1);
   for (std::size_t i = 0; i < program.size(); ++i) {
     const ir::LayerOp& op = program.op(i);
     FastPrepared::OpPrep& p = prep.ops[i];
@@ -428,37 +497,66 @@ FastPrepared prepare_fast_path(const ir::LayerProgram& program) {
       const QConv2d& conv = *op.conv;
       const std::int64_t ih = op.in_shape.dim(1), iw = op.in_shape.dim(2);
       const std::int64_t oh = op.out_shape.dim(1), ow = op.out_shape.dim(2);
-      p.county.resize(static_cast<std::size_t>(ih));
-      for (std::int64_t y = 0; y < ih; ++y)
-        p.county[static_cast<std::size_t>(y)] = ir::axis_coverage(
-            y, conv.kernel, conv.stride, conv.padding, oh);
-      p.countx.resize(static_cast<std::size_t>(iw));
-      for (std::int64_t x = 0; x < iw; ++x)
-        p.countx[static_cast<std::size_t>(x)] = ir::axis_coverage(
-            x, conv.kernel, conv.stride, conv.padding, ow);
-      if (op.fast_layout == DataLayout::kHwc) {
-        const std::int64_t k = conv.kernel;
-        const std::int64_t cin = conv.in_channels, cout = conv.out_channels;
-        p.weights.resize(static_cast<std::size_t>(k * k * cin * cout));
-        const std::int32_t* w = conv.weight.data();
-        for (std::int64_t oc = 0; oc < cout; ++oc)
-          for (std::int64_t ic = 0; ic < cin; ++ic)
-            for (std::int64_t ky = 0; ky < k; ++ky)
-              for (std::int64_t kx = 0; kx < k; ++kx)
-                p.weights[static_cast<std::size_t>(
-                    ((ky * k + kx) * cin + ic) * cout + oc)] =
-                    w[((oc * cin + ic) * k + ky) * k + kx];
+      const std::int64_t k = conv.kernel;
+      const std::int64_t cin = conv.in_channels, cout = conv.out_channels;
+      // A spike at (y, x) feeds county[y] * countx[x] kernel windows.
+      p.coverage.resize(static_cast<std::size_t>(ih * iw));
+      for (std::int64_t y = 0; y < ih; ++y) {
+        const std::int64_t cy =
+            ir::axis_coverage(y, k, conv.stride, conv.padding, oh);
+        for (std::int64_t x = 0; x < iw; ++x)
+          p.coverage[static_cast<std::size_t>(y * iw + x)] =
+              static_cast<std::int32_t>(
+                  cy * ir::axis_coverage(x, k, conv.stride, conv.padding, ow));
       }
+      // HWC repack: weight (ic, ky, kx) of every output channel goes to
+      // row (ky, kx, ic) of [ky][kx][Cin][Cout].
+      const std::int64_t fan_in = cin * k * k;
+      std::vector<std::int64_t> dst_row;
+      if (op.fast_layout == DataLayout::kHwc) {
+        p.weights.resize(static_cast<std::size_t>(fan_in * cout));
+        dst_row.resize(static_cast<std::size_t>(fan_in));
+        for (std::int64_t ic = 0; ic < cin; ++ic)
+          for (std::int64_t ky = 0; ky < k; ++ky)
+            for (std::int64_t kx = 0; kx < k; ++kx)
+              dst_row[static_cast<std::size_t>((ic * k + ky) * k + kx)] =
+                  (ky * k + kx) * cin + ic;
+      }
+      LayerRangeBuilder range(T);
+      fold_and_repack(conv.weight.data(), conv.bias.data(), cout, fan_in,
+                      dst_row, range,
+                      p.weights.empty() ? nullptr : p.weights.data());
+      fits = fits && layer_fits_i32(range.range(), conv.requantize);
     } else if (op.kind == ir::OpKind::kLinear) {
+      // Transposed to [in][out].
       const QLinear& fc = *op.linear;
       const std::int64_t nin = fc.in_features, nout = fc.out_features;
       p.weights.resize(static_cast<std::size_t>(nin * nout));
-      const std::int32_t* w = fc.weight.data();
-      for (std::int64_t o = 0; o < nout; ++o)
-        for (std::int64_t in = 0; in < nin; ++in)
-          p.weights[static_cast<std::size_t>(in * nout + o)] = w[o * nin + in];
+      std::vector<std::int64_t> dst_row(static_cast<std::size_t>(nin));
+      for (std::int64_t in = 0; in < nin; ++in)
+        dst_row[static_cast<std::size_t>(in)] = in;
+      LayerRangeBuilder range(T);
+      fold_and_repack(fc.weight.data(), fc.bias.data(), nout, nin, dst_row,
+                      range, p.weights.data());
+      fits = fits && layer_fits_i32(range.range(), fc.requantize);
+    } else if (op.kind == ir::OpKind::kPool) {
+      const QPool2d& pool = *op.pool;
+      const std::int64_t ih = op.in_shape.dim(1), iw = op.in_shape.dim(2);
+      // Spikes inside the covered region (y < oh*k, x < ow*k) each fire one
+      // adder; the table stays empty when that region is the whole plane.
+      const std::int64_t cy = op.out_shape.dim(1) * pool.kernel;
+      const std::int64_t cx = op.out_shape.dim(2) * pool.kernel;
+      if (cy < ih || cx < iw) {
+        p.coverage.resize(static_cast<std::size_t>(ih * iw));
+        for (std::int64_t y = 0; y < ih; ++y)
+          for (std::int64_t x = 0; x < iw; ++x)
+            p.coverage[static_cast<std::size_t>(y * iw + x)] =
+                y < cy && x < cx ? 1 : 0;
+      }
+      fits = fits && fits_i32(0, pool_accumulator_range(pool, T).max_value);
     }
   }
+  prep.word_bits = fits ? 32 : 64;
   return prep;
 }
 
@@ -473,13 +571,14 @@ FastPrepared prepare_fast_path(const ir::LayerProgram& program) {
 // bit-identity is structural, not re-proven arithmetic.
 namespace {
 
+template <class W>
 struct BatchSlice {
   common::Arena* arena = nullptr;
   std::int64_t B = 0;                 ///< images in this slice
   const TensorI* codes = nullptr;     ///< B input tensors
   AccelRunResult* results = nullptr;  ///< B caller-reset results
   TensorI* boundary = nullptr;        ///< B boundary tensors, or nullptr
-  std::int64_t* cur = nullptr;        ///< interleaved activations cur[i*B+b]
+  W* cur = nullptr;                   ///< interleaved activations cur[i*B+b]
   std::int64_t* spikes = nullptr;     ///< per-image counter scratch (4x B)
   std::int64_t* adder = nullptr;
   std::int64_t* pool_spikes = nullptr;
@@ -500,9 +599,12 @@ std::size_t ops_consumed(const ir::LayerProgram& program, std::size_t li,
 }
 
 /// Rewind the slice's arena and stage its inputs: counter scratch first (so
-/// the arena round is stable), then the interleaved activation buffer.
-template <int kB>
-void init_slice(std::size_t begin, std::size_t end, BatchSlice& s) {
+/// the arena round is stable), then the interleaved activation buffer. The
+/// input codes must be T-bit — the range the word-width proof assumed, and
+/// what the stepped dataflow's spike encoder requires too.
+template <int kB, class W>
+void init_slice(int T, std::size_t begin, std::size_t end,
+                BatchSlice<W>& s) {
   common::Arena& arena = *s.arena;
   arena.reset();
   const std::int64_t B = width<kB>(s.B);
@@ -514,21 +616,35 @@ void init_slice(std::size_t begin, std::size_t end, BatchSlice& s) {
   s.pool_covered = arena.alloc<std::int64_t>(B);
 
   const std::int64_t n_in = s.codes[0].numel();
-  s.cur = arena.alloc<std::int64_t>(n_in * B);
-  for (std::int64_t b = 0; b < B; ++b) {
+  for (std::int64_t b = 0; b < B; ++b)
     RSNN_REQUIRE(s.codes[b].numel() == n_in,
                  "batched input codes must share one shape");
-    const std::int32_t* cp = s.codes[b].data();
-    for (std::int64_t i = 0; i < n_in; ++i) s.cur[i * B + b] = cp[i];
+  s.cur = arena.alloc<W>(n_in * B);
+  // Interleave in blocks of 16 codes per image, so the block's destination
+  // lines stay cached across the images that fill them.
+  constexpr std::int64_t kBlock = 16;
+  std::uint32_t bits = 0;  // OR of every code: a bit at T or above (or a
+                           // sign bit) is out of range
+  for (std::int64_t i0 = 0; i0 < n_in; i0 += kBlock) {
+    const std::int64_t i1 = std::min(n_in, i0 + kBlock);
+    for (std::int64_t b = 0; b < B; ++b) {
+      const std::int32_t* cp = s.codes[b].data();
+      for (std::int64_t i = i0; i < i1; ++i) {
+        bits |= static_cast<std::uint32_t>(cp[i]);
+        s.cur[i * B + b] = cp[i];
+      }
+    }
   }
+  RSNN_REQUIRE((bits >> T) == 0,
+               "input codes must lie in [0, 2^" << T << " - 1]");
 }
 
 /// Execute the step starting at op `li` (one op, or a fused conv+pool pair)
 /// on one slice, including the end-of-range logit / boundary emission.
-template <int kB>
+template <int kB, class W>
 void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
                   const Kernels& K, int T, std::size_t n_layers, std::size_t li,
-                  std::size_t end, BatchSlice& s) {
+                  std::size_t end, BatchSlice<W>& s) {
   common::Arena& arena = *s.arena;
   const std::int64_t B = width<kB>(s.B);
   AccelRunResult* results = s.results;
@@ -536,7 +652,7 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
   std::int64_t* adder = s.adder;
   std::int64_t* pool_spikes = s.pool_spikes;
   std::int64_t* pool_covered = s.pool_covered;
-  std::int64_t* cur = s.cur;
+  W* cur = s.cur;
 
   const ir::LayerOp& op = program.op(li);
   const bool network_final =
@@ -544,7 +660,7 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
   RSNN_ENSURE(op.requantize || network_final || op.kind == ir::OpKind::kPool ||
                   op.kind == ir::OpKind::kFlatten,
               "non-final layer must requantize");
-  popcount_per_image<kB>(cur, op.in_shape.numel(), B, spikes);
+  spikes_per_image<kB>(K, cur, op.in_shape.numel(), B, spikes);
   const FastPrepared::OpPrep& p = prep.ops[li];
   const std::size_t consumed = ops_consumed(program, li, end);
 
@@ -565,24 +681,23 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
       const std::int64_t ih = op.in_shape.dim(1), iw = op.in_shape.dim(2);
       const std::int64_t oh = op.out_shape.dim(1), ow = op.out_shape.dim(2);
       const std::int64_t cout = conv.out_channels;
-      conv_adder_ops_per_image<kB>(cur, conv.in_channels, ih, iw,
-                                   p.county.data(), p.countx.data(), cout, B,
-                                   adder);
+      adder_ops_per_image<kB>(K, cur, conv.in_channels, ih * iw, p.coverage,
+                              cout, B, adder);
       if (consumed == 1) {  // unfused
-        std::int64_t* out = arena.alloc<std::int64_t>(cout * oh * ow * B);
+        W* out = arena.alloc<W>(cout * oh * ow * B);
         if (op.fast_layout == DataLayout::kHwc) {
-          std::int64_t* out_hwcb = arena.alloc<std::int64_t>(oh * ow * B * cout);
+          W* out_hwcb = arena.alloc<W>(oh * ow * B * cout);
           conv_hwc_batched<kB>(conv, cur, ih, iw, oh, ow, p.weights.data(), T,
                                B, K, arena, out_hwcb);
           for (std::int64_t i = 0; i < oh * ow; ++i)
             for (std::int64_t b = 0; b < B; ++b) {
-              const std::int64_t* src = out_hwcb + (i * B + b) * cout;
+              const W* src = out_hwcb + (i * B + b) * cout;
               for (std::int64_t oc = 0; oc < cout; ++oc)
                 out[(oc * oh * ow + i) * B + b] = src[oc];
             }
         } else {
           for (std::int64_t oc = 0; oc < cout; ++oc) {
-            std::int64_t* plane = out + oc * oh * ow * B;
+            W* plane = out + oc * oh * ow * B;
             conv_channel_chw_batched<kB>(conv, cur, ih, iw, oh, ow, oc, B, K,
                                          plane);
             finish_channel(conv, oc, T, plane, oh * ow * B);
@@ -600,38 +715,39 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
 
       // Fused conv+pool: the pool consumes conv codes straight from scratch,
       // skipping the intermediate CHW activation tensor. Both ops' stats are
-      // emitted exactly as if they ran back to back.
+      // emitted exactly as if they ran back to back: the pool's input spikes
+      // are every conv output spike, its adder ops those inside its
+      // coverage table (all of them when the table is empty).
       const ir::LayerOp& pool_op = program.op(li + 1);
       const QPool2d& pool = *pool_op.pool;
+      const std::vector<std::int32_t>& covered = prep.ops[li + 1].coverage;
       const std::int64_t k = pool.kernel;
       const std::int64_t poh = pool_op.out_shape.dim(1);
       const std::int64_t pow_ = pool_op.out_shape.dim(2);
-      std::int64_t* out = arena.alloc<std::int64_t>(cout * poh * pow_ * B);
+      W* out = arena.alloc<W>(cout * poh * pow_ * B);
+      std::fill(pool_spikes, pool_spikes + B, std::int64_t{0});
+      std::fill(pool_covered, pool_covered + B, std::int64_t{0});
       if (op.fast_layout == DataLayout::kHwc) {
-        std::int64_t* out_hwcb = arena.alloc<std::int64_t>(oh * ow * B * cout);
+        W* out_hwcb = arena.alloc<W>(oh * ow * B * cout);
         conv_hwc_batched<kB>(conv, cur, ih, iw, oh, ow, p.weights.data(), T, B,
                              K, arena, out_hwcb);
-        std::fill(pool_spikes, pool_spikes + B, std::int64_t{0});
-        std::fill(pool_covered, pool_covered + B, std::int64_t{0});
-        for (std::int64_t y = 0; y < oh; ++y) {
-          const bool y_covered = y / k < poh;
-          for (std::int64_t x = 0; x < ow; ++x) {
-            const bool covered = y_covered && x / k < pow_;
-            const std::int64_t* base = out_hwcb + ((y * ow + x) * B) * cout;
-            for (std::int64_t b = 0; b < B; ++b) {
-              const std::int64_t n = popcount_sum(base + b * cout, cout);
-              pool_spikes[b] += n;
-              if (covered) pool_covered[b] += n;
-            }
+        for (std::int64_t i = 0; i < oh * ow; ++i) {
+          const bool in_window = covered.empty() || covered[i] != 0;
+          const W* base = out_hwcb + i * B * cout;
+          for (std::int64_t b = 0; b < B; ++b) {
+            std::int64_t n = 0;
+            count_spikes(K, &n, base + b * cout, nullptr, cout, 1);
+            pool_spikes[b] += n;
+            if (in_window) pool_covered[b] += n;
           }
         }
-        std::int64_t* pacc = arena.alloc<std::int64_t>(B * cout);
+        W* pacc = arena.alloc<W>(B * cout);
         for (std::int64_t py = 0; py < poh; ++py) {
           for (std::int64_t px = 0; px < pow_; ++px) {
-            std::fill(pacc, pacc + B * cout, std::int64_t{0});
+            std::fill(pacc, pacc + B * cout, W{0});
             for (std::int64_t ky = 0; ky < k; ++ky)
               for (std::int64_t kx = 0; kx < k; ++kx)
-                K.add_i64(pacc,
+                add_words(K, pacc,
                           out_hwcb +
                               (((py * k + ky) * ow + px * k + kx) * B) * cout,
                           B * cout);
@@ -642,30 +758,20 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
           }
         }
       } else {
-        std::int64_t* plane = arena.alloc<std::int64_t>(oh * ow * B);
-        std::int64_t* pacc = arena.alloc<std::int64_t>(B);
-        std::fill(pool_spikes, pool_spikes + B, std::int64_t{0});
-        std::fill(pool_covered, pool_covered + B, std::int64_t{0});
+        W* plane = arena.alloc<W>(oh * ow * B);
+        W* pacc = arena.alloc<W>(B);
         for (std::int64_t oc = 0; oc < cout; ++oc) {
           conv_channel_chw_batched<kB>(conv, cur, ih, iw, oh, ow, oc, B, K,
                                        plane);
           finish_channel(conv, oc, T, plane, oh * ow * B);
-          const std::int64_t* q = plane;
-          for (std::int64_t y = 0; y < oh; ++y) {
-            const bool y_covered = y / k < poh;
-            for (std::int64_t x = 0; x < ow; ++x, q += B) {
-              const bool covered = y_covered && x / k < pow_;
-              for (std::int64_t b = 0; b < B; ++b) {
-                const std::int64_t n =
-                    std::popcount(static_cast<std::uint64_t>(q[b]));
-                pool_spikes[b] += n;
-                if (covered) pool_covered[b] += n;
-              }
-            }
-          }
+          count_spikes(K, pool_spikes, plane, nullptr, oh * ow, B);
+          if (!covered.empty())
+            count_spikes(K, pool_covered, plane, covered.data(), oh * ow, B);
           pool_plane_batched<kB>(plane, ow, k, pool.shift, poh, pow_, B, K,
                                  pacc, out + oc * poh * pow_ * B);
         }
+        if (covered.empty())
+          std::copy(pool_spikes, pool_spikes + B, pool_covered);
       }
       for (std::int64_t b = 0; b < B; ++b) {
         LayerStats stats = annotated_stats(op);
@@ -685,10 +791,9 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
       const std::int64_t ch = op.in_shape.dim(0);
       const std::int64_t ih = op.in_shape.dim(1), iw = op.in_shape.dim(2);
       const std::int64_t oh = op.out_shape.dim(1), ow = op.out_shape.dim(2);
-      pool_covered_per_image<kB>(cur, ch, ih, iw, pool.kernel, oh, ow, B,
-                                 adder);
-      std::int64_t* out = arena.alloc<std::int64_t>(ch * oh * ow * B);
-      std::int64_t* pacc = arena.alloc<std::int64_t>(B);
+      adder_ops_per_image<kB>(K, cur, ch, ih * iw, p.coverage, 1, B, adder);
+      W* out = arena.alloc<W>(ch * oh * ow * B);
+      W* pacc = arena.alloc<W>(B);
       for (std::int64_t c = 0; c < ch; ++c)
         pool_plane_batched<kB>(cur + c * ih * iw * B, iw, pool.kernel,
                                pool.shift, oh, ow, B, K, pacc,
@@ -704,7 +809,7 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
     }
     case ir::OpKind::kLinear: {
       const QLinear& fc = *op.linear;
-      std::int64_t* out = arena.alloc<std::int64_t>(fc.out_features * B);
+      W* out = arena.alloc<W>(fc.out_features * B);
       linear_fast_batched<kB>(fc, cur, p.weights.data(), T, B, K, arena, out);
       for (std::int64_t b = 0; b < B; ++b) {
         LayerStats stats = annotated_stats(op);
@@ -740,22 +845,89 @@ void run_slice_op(const ir::LayerProgram& program, const FastPrepared& prep,
 
 // Each slice picks its kernel instance from its own width: a single-image
 // slice (the serving replica's usual dispatch, or the one-image tail of an
-// uneven parallel split) runs kB = 1, every wider slice kB = 0.
+// uneven parallel split) runs kB = 1, every wider slice kB = 0. The word W
+// is the pack's, fixed for the whole run.
 
-void start_slice(std::size_t begin, std::size_t end, BatchSlice& s) {
+template <class W>
+void start_slice(int T, std::size_t begin, std::size_t end, BatchSlice<W>& s) {
   if (s.B == 1)
-    init_slice<1>(begin, end, s);
+    init_slice<1>(T, begin, end, s);
   else
-    init_slice<0>(begin, end, s);
+    init_slice<0>(T, begin, end, s);
 }
 
+template <class W>
 void step_slice(const ir::LayerProgram& program, const FastPrepared& prep,
                 const Kernels& K, int T, std::size_t n_layers, std::size_t li,
-                std::size_t end, BatchSlice& s) {
+                std::size_t end, BatchSlice<W>& s) {
   if (s.B == 1)
     run_slice_op<1>(program, prep, K, T, n_layers, li, end, s);
   else
     run_slice_op<0>(program, prep, K, T, n_layers, li, end, s);
+}
+
+/// One slice over the whole batch on `arena`.
+template <class W>
+void run_batched(const ir::LayerProgram& program, const FastPrepared& prep,
+                 common::Arena& arena, const TensorI* codes, std::size_t batch,
+                 std::size_t begin, std::size_t end, TensorI* boundary_codes,
+                 AccelRunResult* results) {
+  const Kernels& K = common::simd::kernels();
+  const int T = program.time_bits();
+  const std::size_t n_layers = program.network().layers.size();
+
+  BatchSlice<W> s;
+  s.arena = &arena;
+  s.B = static_cast<std::int64_t>(batch);
+  s.codes = codes;
+  s.results = results;
+  s.boundary = boundary_codes;
+  start_slice(T, begin, end, s);
+  for (std::size_t li = begin; li < end; li += ops_consumed(program, li, end))
+    step_slice(program, prep, K, T, n_layers, li, end, s);
+}
+
+/// One fixed cap keeps the parallel driver's slice table on the stack (no
+/// per-call allocation); past ~64 cores the batch, not the core count, is
+/// the limit.
+constexpr std::size_t kMaxSlices = 64;
+
+/// `n_slices` (2..kMaxSlices) contiguous slices on the held `pool`.
+template <class W>
+void run_batched_parallel(const ir::LayerProgram& program,
+                          const FastPrepared& prep, common::TaskPool& pool,
+                          const TensorI* codes, std::size_t batch,
+                          std::size_t begin, std::size_t end,
+                          TensorI* boundary_codes, AccelRunResult* results,
+                          std::size_t n_slices) {
+  const Kernels& K = common::simd::kernels();
+  const int T = program.time_bits();
+  const std::size_t n_layers = program.network().layers.size();
+
+  BatchSlice<W> slices[kMaxSlices];
+  std::size_t off = 0;
+  for (std::size_t c = 0; c < n_slices; ++c) {
+    const std::size_t n = batch / n_slices + (c < batch % n_slices ? 1 : 0);
+    BatchSlice<W>& s = slices[c];
+    s.arena = &pool.arena(c);
+    s.B = static_cast<std::int64_t>(n);
+    s.codes = codes + off;
+    s.results = results + off;
+    s.boundary = boundary_codes ? boundary_codes + off : nullptr;
+    off += n;
+  }
+
+  // Fork/join once per step: every slice executes the SAME op over its own
+  // images, so all cores stream one shared weight tap sequence — the taps a
+  // slice pulls into the shared cache are the taps its siblings need next.
+  pool.run(n_slices,
+           [&](std::size_t c) { start_slice(T, begin, end, slices[c]); });
+  for (std::size_t li = begin; li < end;
+       li += ops_consumed(program, li, end)) {
+    pool.run(n_slices, [&](std::size_t c) {
+      step_slice(program, prep, K, T, n_layers, li, end, slices[c]);
+    });
+  }
 }
 
 }  // namespace
@@ -766,20 +938,12 @@ void run_fast_path_batched(const ir::LayerProgram& program,
                            std::size_t begin, std::size_t end,
                            TensorI* boundary_codes, AccelRunResult* results) {
   RSNN_REQUIRE(batch >= 1, "batched run needs at least one image");
-  const Kernels& K = common::simd::kernels();
-  const int T = program.time_bits();
-  const std::size_t n_layers = program.network().layers.size();
-
-  BatchSlice s;
-  s.arena = &arena;
-  s.B = static_cast<std::int64_t>(batch);
-  s.codes = codes;
-  s.results = results;
-  s.boundary = boundary_codes;
-  start_slice(begin, end, s);
-  for (std::size_t li = begin; li < end; li += ops_consumed(program, li, end))
-    step_slice(program, prep, K, T, n_layers, li, end, s);
-
+  if (prep.word_bits == 32)
+    run_batched<std::int32_t>(program, prep, arena, codes, batch, begin, end,
+                              boundary_codes, results);
+  else
+    run_batched<std::int64_t>(program, prep, arena, codes, batch, begin, end,
+                              boundary_codes, results);
   const double cycle_ns = program.config().cycle_ns();
   for (std::size_t b = 0; b < batch; ++b) finalize_run(results[b], cycle_ns);
 }
@@ -794,9 +958,7 @@ void run_fast_path_batched_parallel(const ir::LayerProgram& program,
                                     std::size_t threads) {
   RSNN_REQUIRE(batch >= 1, "batched run needs at least one image");
   // One slice per requested thread — never more slices than images or pool
-  // slots. The fixed cap keeps the slice table on the stack (no per-call
-  // allocation); past ~64 cores the batch, not the core count, is the limit.
-  constexpr std::size_t kMaxSlices = 64;
+  // slots.
   const std::size_t n_slices =
       std::min({threads, batch, pool.slots(), kMaxSlices});
 
@@ -808,35 +970,14 @@ void run_fast_path_batched_parallel(const ir::LayerProgram& program,
                           end, boundary_codes, results);
     return;
   }
-
-  const Kernels& K = common::simd::kernels();
-  const int T = program.time_bits();
-  const std::size_t n_layers = program.network().layers.size();
-
-  BatchSlice slices[kMaxSlices];
-  std::size_t off = 0;
-  for (std::size_t c = 0; c < n_slices; ++c) {
-    const std::size_t n = batch / n_slices + (c < batch % n_slices ? 1 : 0);
-    BatchSlice& s = slices[c];
-    s.arena = &pool.arena(c);
-    s.B = static_cast<std::int64_t>(n);
-    s.codes = codes + off;
-    s.results = results + off;
-    s.boundary = boundary_codes ? boundary_codes + off : nullptr;
-    off += n;
-  }
-
-  // Fork/join once per step: every slice executes the SAME op over its own
-  // images, so all cores stream one shared weight tap sequence — the taps a
-  // slice pulls into the shared cache are the taps its siblings need next.
-  pool.run(n_slices, [&](std::size_t c) { start_slice(begin, end, slices[c]); });
-  for (std::size_t li = begin; li < end;
-       li += ops_consumed(program, li, end)) {
-    pool.run(n_slices, [&](std::size_t c) {
-      step_slice(program, prep, K, T, n_layers, li, end, slices[c]);
-    });
-  }
-
+  if (prep.word_bits == 32)
+    run_batched_parallel<std::int32_t>(program, prep, pool, codes, batch,
+                                       begin, end, boundary_codes, results,
+                                       n_slices);
+  else
+    run_batched_parallel<std::int64_t>(program, prep, pool, codes, batch,
+                                       begin, end, boundary_codes, results,
+                                       n_slices);
   const double cycle_ns = program.config().cycle_ns();
   for (std::size_t b = 0; b < batch; ++b) finalize_run(results[b], cycle_ns);
 }

@@ -14,7 +14,8 @@
 //     suite against the stepped units);
 //   * adder ops — the exact activity rule of ir::exact_adder_ops, evaluated
 //     through prepared per-op coverage tables;
-//   * input spikes — popcount of the input codes (== the spike-train count).
+//   * input spikes — popcount of the input codes (== the spike-train count),
+//     through the SIMD dispatch table's spike counter (POPCNT on x86-64).
 //
 // The fast path therefore changes *how* the simulator iterates, never *what*
 // it counts: logits, cycles, adder ops and traffic are bit-identical to
@@ -22,10 +23,22 @@
 // tests/test_fastpath.cpp sweeps exhaustively.
 //
 // One kernel family: every kernel runs over an image-minor interleaved
-// batch and is instantiated twice — at compile-time batch width 1 and at a
-// run-time width. A single-image run is the width-1 instance of the batch
-// path, not a separate code path, and each batch slice picks its instance
-// from its own size.
+// batch and is instantiated at compile-time batch width 1 and at a run-time
+// width. A single-image run is the width-1 instance of the batch path, not
+// a separate code path, and each batch slice picks its instance from its
+// own size.
+//
+// Word width from a proof: the kernels are also templated on the word W
+// that holds every activation code and accumulator. prepare_fast_path
+// bounds every value the program can produce — each conv/linear partial
+// sum ([sum(neg w), sum(pos w)] * (2^T-1), hw::LayerRangeBuilder, fed each
+// weight row while it is repacked), the raw final layer's `acc + bias`,
+// every pool window sum and the T-bit input codes — and records the word in
+// FastPrepared::word_bits: int32 when all of it fits, int64 otherwise. A
+// run takes its instance from the pack. The int32 instance halves the
+// activation bytes and doubles the SIMD lanes; both instances compute the
+// same exact integers, so every result is bit-identical either way. Input
+// codes outside [0, 2^T-1] are rejected, as the stepped dataflow does.
 //
 // Memory model: all intermediate activation buffers are bump-allocated from
 // a per-worker common::Arena that is rewound per run — a warm worker
@@ -50,22 +63,29 @@
 namespace rsnn::hw {
 
 /// Immutable per-program preparation: weight repacks in the layouts the plan
-/// selected, plus the adder-op coverage tables. Indexed by op position.
+/// selected, the adder-op coverage tables, and the proven word width.
+/// Indexed by op position.
 struct FastPrepared {
   struct OpPrep {
     /// HWC-packed conv weights [ky][kx][Cin][Cout] (conv ops with
     /// fast_layout == kHwc) or the transposed linear weights [in][out]
     /// (linear ops); empty otherwise.
     std::vector<std::int32_t> weights;
-    /// Separable adder-op coverage per input row / column (conv ops):
-    /// a spike at (iy, ix) feeds county[iy] * countx[ix] kernel windows.
-    std::vector<std::int64_t> county;
-    std::vector<std::int64_t> countx;
+    /// Adder ops fired per spike at each position (y * W + x) of an input
+    /// plane. Conv ops: the kernel windows it feeds in one output plane.
+    /// Pool ops: 1 inside the region the windows cover, 0 outside — and
+    /// empty when that region is the whole plane.
+    std::vector<std::int32_t> coverage;
   };
   std::vector<OpPrep> ops;
+  /// Bits of the activation/accumulator word every kernel runs in: 32 when
+  /// prepare_fast_path proved every value of the program fits in int32,
+  /// else 64. Setting it to 64 is always safe (and bit-identical).
+  int word_bits = 64;
 };
 
-/// Build the prepared state for a hardware-lowered program.
+/// Build the prepared state for a hardware-lowered program, proving the
+/// word width in the same pass over the weights as the repack.
 FastPrepared prepare_fast_path(const ir::LayerProgram& program);
 
 /// Process-wide keyed cache over prepare_fast_path(): every Accelerator —

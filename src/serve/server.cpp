@@ -88,8 +88,8 @@ void Server::accept_main() {
     std::string error;
     Socket socket = listener_.accept_connection(&error);
     if (!socket.valid()) {
-      // close() shut the listener down (stop path); anything else on a
-      // closed-over loopback listener is equally terminal.
+      // shutdown() stopped the listener (stop path); anything else on a
+      // loopback listener is equally terminal.
       break;
     }
     ++accepted_;
@@ -270,8 +270,11 @@ void Server::request_stop() {
 void Server::stop() {
   if (stopping_.exchange(true)) return;
   request_stop();
-  listener_.close();
+  // Wake the accept thread without touching the descriptor it reads; the
+  // descriptor is released only once that thread has joined.
+  listener_.shutdown();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.close();
   std::vector<std::unique_ptr<Connection>> connections;
   {
     const std::lock_guard<std::mutex> lock(mutex_);

@@ -197,6 +197,10 @@ Socket Listener::accept_connection(std::string* error) {
   return Socket(fd);
 }
 
+void Listener::shutdown() {
+  if (valid()) ::shutdown(fd_, SHUT_RDWR);
+}
+
 void Listener::close() {
   if (valid()) {
     ::shutdown(fd_, SHUT_RDWR);

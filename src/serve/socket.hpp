@@ -78,10 +78,18 @@ class Listener {
   bool valid() const { return fd_ >= 0; }
 
   /// Block until a client connects. Returns an invalid Socket (with a
-  /// diagnostic) on failure — including when close() unblocked the accept.
+  /// diagnostic) on failure — including when shutdown() unblocked the
+  /// accept.
   Socket accept_connection(std::string* error);
 
-  /// Shut down + close the listening socket; unblocks accept_connection.
+  /// Stop listening: a blocked or later accept_connection returns an
+  /// invalid Socket. Keeps the descriptor, so it is safe while another
+  /// thread is inside accept_connection (that thread can never reach
+  /// ::accept on a closed — possibly recycled — descriptor number).
+  void shutdown();
+
+  /// Release the listening socket. Not safe concurrently with
+  /// accept_connection: shutdown() first, then join the accepting thread.
   void close();
 
  private:

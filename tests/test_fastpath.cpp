@@ -6,16 +6,21 @@
 //
 // Also covered here: the Arena bump allocator, the zero-allocation warm
 // batched property, segment-scoped fast-path execution (a fused conv+pool
-// pair split by a pipeline cut), and the accumulator bound (max codes
-// against all-positive and all-negative weights).
+// pair split by a pipeline cut), the accumulator bound (max codes against
+// all-positive and all-negative weights), and the proven word width — the
+// int32 and int64 kernel instances at and just past the int32 edges, the
+// SIMD kernels of both widths and the spike counter.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <variant>
 #include <vector>
 
 #include "common/alloc_hook.hpp"
@@ -94,6 +99,17 @@ constexpr PlanVariant kPlanVariants[] = {
     {LayoutPolicy::kForceHwc, true, "hwc_fused"},
     {LayoutPolicy::kForceHwc, false, "hwc_unfused"},
 };
+
+constexpr std::int64_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+constexpr std::int64_t kInt32Min = std::numeric_limits<std::int32_t>::min();
+
+/// `qnet` with one final-layer bias past INT32_MAX: the same shapes and the
+/// same work, but a pack whose proof fails, so the fast path runs its int64
+/// instance.
+quant::QuantizedNetwork past_int32(quant::QuantizedNetwork qnet) {
+  std::get<quant::QLinear>(qnet.layers.back()).bias.data()[0] = kInt32Max + 1;
+  return qnet;
+}
 
 // ------------------------------------------------------------------ Arena
 
@@ -274,45 +290,55 @@ TEST(FastPath, WarmEngineDispatchAllocatesNothing) {
 #else
   Rng rng(91);
   nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
+  const quant::QuantizedNetwork narrow =
       quant::quantize(net, quant::QuantizeConfig{3, 4});
+  const quant::QuantizedNetwork wide = past_int32(narrow);
   AcceleratorConfig cfg;
   cfg.conv = ConvUnitGeometry{16, 3, 24};
   cfg.pool = PoolUnitGeometry{8, 2, 16};
   cfg.linear = LinearUnitGeometry{8, 24};
-  const ir::LayerProgram program = ir::lower(qnet, cfg);
+  const std::vector<TensorI> batch(
+      4, quant::encode_activations(random_image(narrow.input_shape, rng),
+                                   narrow.time_bits));
 
-  // The call a monolithic serving replica makes per dispatch, at a batch of
-  // four (the run-time-width kernels) and at its usual batch of one (the
-  // width-1 instance).
-  auto engine =
-      engine::make_engine(engine::EngineKind::kCycleAccurate, program);
-  std::vector<TensorI> batch(
-      4, quant::encode_activations(random_image(qnet.input_shape, rng),
-                                   qnet.time_bits));
-  std::vector<AccelRunResult> results(batch.size());
-  AccelRunResult single;
-  const auto run = [&] {
-    engine->run_codes_batched_into(batch.data(), batch.size(),
-                                   results.data());
-    engine->run_codes_batched_into(batch.data(), 1, &single);
-  };
-  // Two warm batches: the first builds the prepared weights and sizes every
-  // scratch buffer; the second consolidates the arena's primary chunk.
-  run();
-  run();
-  const AccelRunResult warm = results.at(0);
+  // Both word instances: the int32 words the proof allows, and the int64
+  // words of the same network with one bias past the int32 edge.
+  for (const auto& [qnet, word_bits] :
+       {std::pair{&narrow, 32}, std::pair{&wide, 64}}) {
+    SCOPED_TRACE("word_bits=" + std::to_string(word_bits));
+    const ir::LayerProgram program = ir::lower(*qnet, cfg);
+    ASSERT_EQ(prepare_fast_path(program).word_bits, word_bits);
 
-  const std::uint64_t before = common::allocation_count();
-  // Guard against a vacuous pass: the setup above allocates plenty, so a
-  // zero counter means the counting hook did not link into this binary.
-  ASSERT_GT(before, 0u) << "allocation hook not linked";
-  run();
-  const std::uint64_t after = common::allocation_count();
-  EXPECT_EQ(after - before, 0u)
-      << "warm fast-path batched inference must not touch the heap";
-  expect_bit_identical(results.at(0), warm);
-  expect_bit_identical(single, warm);
+    // The call a monolithic serving replica makes per dispatch, at a batch
+    // of four (the run-time-width kernels) and at its usual batch of one
+    // (the width-1 instance).
+    auto engine =
+        engine::make_engine(engine::EngineKind::kCycleAccurate, program);
+    std::vector<AccelRunResult> results(batch.size());
+    AccelRunResult single;
+    const auto run = [&] {
+      engine->run_codes_batched_into(batch.data(), batch.size(),
+                                     results.data());
+      engine->run_codes_batched_into(batch.data(), 1, &single);
+    };
+    // Two warm batches: the first builds the prepared weights and sizes
+    // every scratch buffer; the second consolidates the arena's primary
+    // chunk.
+    run();
+    run();
+    const AccelRunResult warm = results.at(0);
+
+    const std::uint64_t before = common::allocation_count();
+    // Guard against a vacuous pass: the setup above allocates plenty, so a
+    // zero counter means the counting hook did not link into this binary.
+    ASSERT_GT(before, 0u) << "allocation hook not linked";
+    run();
+    const std::uint64_t after = common::allocation_count();
+    EXPECT_EQ(after - before, 0u)
+        << "warm fast-path batched inference must not touch the heap";
+    expect_bit_identical(results.at(0), warm);
+    expect_bit_identical(single, warm);
+  }
 #endif
 }
 
@@ -323,7 +349,7 @@ TEST(Simd, KernelsMatchScalarOnRandomVectors) {
   const common::simd::Kernels& scalar = common::simd::scalar_kernels();
   Rng rng(321);
   // Odd lengths cover every remainder path of the vector kernels.
-  for (const std::int64_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 31, 70}) {
+  for (const std::int64_t n : {1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 70}) {
     SCOPED_TRACE("n=" + std::to_string(n));
     std::vector<std::int64_t> acc_a(n), acc_b(n), src(n);
     std::vector<std::int32_t> w32(n);
@@ -342,6 +368,101 @@ TEST(Simd, KernelsMatchScalarOnRandomVectors) {
     best.add_i64(acc_a.data(), src.data(), n);
     scalar.add_i64(acc_b.data(), src.data(), n);
     EXPECT_EQ(acc_a, acc_b);
+
+    // The int32 twins, against an exact int64 reference, with elements
+    // landing exactly on INT32_MAX / INT32_MIN and products near 2^31.
+    for (const std::int32_t a : {-4, 3, 7, -7}) {
+      SCOPED_TRACE("a=" + std::to_string(a));
+      std::vector<std::int32_t> acc32(n), src32(n), add32(n);
+      std::vector<std::int64_t> expect_axpy(n), expect_add(n);
+      for (std::int64_t i = 0; i < n; ++i) {
+        src32[i] = static_cast<std::int32_t>(
+            rng.next_int(0, 2) == 0 ? rng.next_int(0, 255)
+                                    : rng.next_int(0, (1 << 28) - 1));
+        const std::int64_t product = std::int64_t{a} * src32[i];
+        switch (rng.next_int(0, 2)) {
+          case 0:  // lands on INT32_MAX (or as close as the sign allows)
+            acc32[i] = static_cast<std::int32_t>(
+                product >= 0 ? kInt32Max - product : kInt32Max);
+            break;
+          case 1:  // lands on INT32_MIN
+            acc32[i] = static_cast<std::int32_t>(
+                product < 0 ? kInt32Min - product : kInt32Min);
+            break;
+          default:
+            acc32[i] = static_cast<std::int32_t>(rng.next_int(-1000, 1000));
+        }
+        expect_axpy[i] = acc32[i] + product;
+        add32[i] = static_cast<std::int32_t>(
+            expect_axpy[i] >= 0 ? kInt32Min + 1 + rng.next_int(0, 5)
+                                : kInt32Max - rng.next_int(0, 5));
+        expect_add[i] = expect_axpy[i] + add32[i];
+      }
+      for (const common::simd::Kernels* K : {&best, &scalar}) {
+        SCOPED_TRACE(K->isa);
+        std::vector<std::int32_t> acc = acc32;
+        K->axpy_i32(acc.data(), src32.data(), a, n);
+        EXPECT_EQ(std::vector<std::int64_t>(acc.begin(), acc.end()),
+                  expect_axpy);
+        K->add_i32(acc.data(), add32.data(), n);
+        EXPECT_EQ(std::vector<std::int64_t>(acc.begin(), acc.end()),
+                  expect_add);
+      }
+    }
+  }
+}
+
+TEST(Simd, SpikeCounterMatchesPopcount) {
+  // Every code at T <= 16, each counted as its own image (one pixel of a
+  // batch of 65536), then random 30-bit codes, unweighted and weighted, at
+  // batch 1 and interleaved — against std::popcount, in every table.
+  constexpr std::int64_t kCodes = 1 << 16;
+  std::vector<std::int32_t> codes32(kCodes);
+  std::vector<std::int64_t> codes64(kCodes);
+  for (std::int64_t c = 0; c < kCodes; ++c) codes32[c] = codes64[c] = c;
+  Rng rng(322);
+  constexpr std::int64_t kPixels = 257, kMaxBatch = 32;
+  std::vector<std::int32_t> wide32(kPixels * kMaxBatch), weight(kPixels);
+  for (std::int32_t& v : wide32)
+    v = static_cast<std::int32_t>(rng.next_int(0, (1 << 30) - 1));
+  for (std::int32_t& v : weight)
+    v = static_cast<std::int32_t>(rng.next_int(0, 25));
+  const std::vector<std::int64_t> wide64(wide32.begin(), wide32.end());
+
+  for (const common::simd::Kernels* K :
+       {&common::simd::kernels(), &common::simd::scalar_kernels()}) {
+    SCOPED_TRACE(K->isa);
+    std::vector<std::int64_t> per32(kCodes, 0), per64(kCodes, 0);
+    K->count_spikes_i32(per32.data(), codes32.data(), nullptr, 1, kCodes);
+    K->count_spikes_i64(per64.data(), codes64.data(), nullptr, 1, kCodes);
+    for (std::int64_t c = 0; c < kCodes; ++c) {
+      const int expected = std::popcount(static_cast<std::uint32_t>(c));
+      ASSERT_EQ(per32[c], expected) << "code " << c;
+      ASSERT_EQ(per64[c], expected) << "code " << c;
+    }
+
+    // Image b of a batch reads every batch-th value; batch 1 is one sum
+    // over contiguous codes. Widths around the 8-lane vector cover the
+    // whole-vector, remainder and mixed paths.
+    const std::int32_t* per_pixel = weight.data();
+    for (const std::int64_t batch : {1, 3, 8, 11, 32}) {
+      for (const std::int32_t* w :
+           {static_cast<const std::int32_t*>(nullptr), per_pixel}) {
+        SCOPED_TRACE("batch=" + std::to_string(batch) +
+                     (w ? " weighted" : ""));
+        std::vector<std::int64_t> expected(batch, 0);
+        for (std::int64_t i = 0; i < kPixels; ++i)
+          for (std::int64_t b = 0; b < batch; ++b)
+            expected[b] += std::int64_t{std::popcount(static_cast<std::uint32_t>(
+                               wide32[i * batch + b]))} *
+                           (w ? w[i] : 1);
+        std::vector<std::int64_t> out32(batch, 0), out64(batch, 0);
+        K->count_spikes_i32(out32.data(), wide32.data(), w, kPixels, batch);
+        K->count_spikes_i64(out64.data(), wide64.data(), w, kPixels, batch);
+        EXPECT_EQ(out32, expected);
+        EXPECT_EQ(out64, expected);
+      }
+    }
   }
 }
 
@@ -493,33 +614,41 @@ TEST(FastPathBatched, WarmBatchedInferenceAllocatesNothing) {
 #else
   Rng rng(817);
   nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
+  const quant::QuantizedNetwork narrow =
       quant::quantize(net, quant::QuantizeConfig{3, 4});
+  const quant::QuantizedNetwork wide = past_int32(narrow);
   AcceleratorConfig cfg;
   cfg.conv = ConvUnitGeometry{16, 3, 24};
   cfg.pool = PoolUnitGeometry{8, 2, 16};
   cfg.linear = LinearUnitGeometry{8, 24};
-  const Accelerator accel(cfg, qnet);
-  const std::vector<TensorI> codes = random_code_batch(qnet, 8, rng);
-  Accelerator::WorkerState state = accel.make_worker_state();
-  std::vector<AccelRunResult> results(codes.size());
+  const std::vector<TensorI> codes = random_code_batch(narrow, 8, rng);
 
-  // Two warm batches: the first builds the prepared weights and sizes every
-  // scratch buffer; the second consolidates the arena's primary chunk.
-  accel.run_codes_batched_into(state, codes.data(), codes.size(),
-                               results.data());
-  accel.run_codes_batched_into(state, codes.data(), codes.size(),
-                               results.data());
-  const AccelRunResult warm = results.at(0);
+  for (const auto& [qnet, word_bits] :
+       {std::pair{&narrow, 32}, std::pair{&wide, 64}}) {
+    SCOPED_TRACE("word_bits=" + std::to_string(word_bits));
+    const Accelerator accel(cfg, *qnet);
+    ASSERT_EQ(accel.fast_prepared_shared()->word_bits, word_bits);
+    Accelerator::WorkerState state = accel.make_worker_state();
+    std::vector<AccelRunResult> results(codes.size());
 
-  const std::uint64_t before = common::allocation_count();
-  ASSERT_GT(before, 0u) << "allocation hook not linked";
-  accel.run_codes_batched_into(state, codes.data(), codes.size(),
-                               results.data());
-  const std::uint64_t after = common::allocation_count();
-  EXPECT_EQ(after - before, 0u)
-      << "warm batched fast-path inference must not touch the heap";
-  expect_bit_identical(results.at(0), warm);
+    // Two warm batches: the first builds the prepared weights and sizes
+    // every scratch buffer; the second consolidates the arena's primary
+    // chunk.
+    accel.run_codes_batched_into(state, codes.data(), codes.size(),
+                                 results.data());
+    accel.run_codes_batched_into(state, codes.data(), codes.size(),
+                                 results.data());
+    const AccelRunResult warm = results.at(0);
+
+    const std::uint64_t before = common::allocation_count();
+    ASSERT_GT(before, 0u) << "allocation hook not linked";
+    accel.run_codes_batched_into(state, codes.data(), codes.size(),
+                                 results.data());
+    const std::uint64_t after = common::allocation_count();
+    EXPECT_EQ(after - before, 0u)
+        << "warm batched fast-path inference must not touch the heap";
+    expect_bit_identical(results.at(0), warm);
+  }
 #endif
 }
 
@@ -656,35 +785,43 @@ TEST(FastPathParallel, WarmParallelBatchedInferenceAllocatesNothing) {
 #else
   Rng rng(904);
   nn::Network net = rsnn::testing::small_random_net(rng);
-  const quant::QuantizedNetwork qnet =
+  const quant::QuantizedNetwork narrow =
       quant::quantize(net, quant::QuantizeConfig{3, 4});
+  const quant::QuantizedNetwork wide = past_int32(narrow);
   AcceleratorConfig cfg;
   cfg.conv = ConvUnitGeometry{16, 3, 24};
   cfg.pool = PoolUnitGeometry{8, 2, 16};
   cfg.linear = LinearUnitGeometry{8, 24};
   cfg.fast_path.threads = 4;
-  const Accelerator accel(cfg, qnet);
-  const std::vector<TensorI> codes = random_code_batch(qnet, 8, rng);
-  Accelerator::WorkerState state = accel.make_worker_state();
-  std::vector<AccelRunResult> results(codes.size());
+  const std::vector<TensorI> codes = random_code_batch(narrow, 8, rng);
 
-  // Two warm batches: the first spins up the shared task pool, builds the
-  // prepared weights and sizes every slot arena; the second consolidates
-  // the arenas' primary chunks.
-  accel.run_codes_batched_into(state, codes.data(), codes.size(),
-                               results.data());
-  accel.run_codes_batched_into(state, codes.data(), codes.size(),
-                               results.data());
-  const AccelRunResult warm = results.at(0);
+  for (const auto& [qnet, word_bits] :
+       {std::pair{&narrow, 32}, std::pair{&wide, 64}}) {
+    SCOPED_TRACE("word_bits=" + std::to_string(word_bits));
+    const Accelerator accel(cfg, *qnet);
+    ASSERT_EQ(accel.fast_prepared_shared()->word_bits, word_bits);
+    Accelerator::WorkerState state = accel.make_worker_state();
+    std::vector<AccelRunResult> results(codes.size());
 
-  const std::uint64_t before = common::allocation_count();
-  ASSERT_GT(before, 0u) << "allocation hook not linked";
-  accel.run_codes_batched_into(state, codes.data(), codes.size(),
-                               results.data());
-  const std::uint64_t after = common::allocation_count();
-  EXPECT_EQ(after - before, 0u)
-      << "warm parallel batched fast-path inference must not touch the heap";
-  expect_bit_identical(results.at(0), warm);
+    // Two warm batches: the first spins up the shared task pool, builds the
+    // prepared weights and sizes every slot arena; the second consolidates
+    // the arenas' primary chunks.
+    accel.run_codes_batched_into(state, codes.data(), codes.size(),
+                                 results.data());
+    accel.run_codes_batched_into(state, codes.data(), codes.size(),
+                                 results.data());
+    const AccelRunResult warm = results.at(0);
+
+    const std::uint64_t before = common::allocation_count();
+    ASSERT_GT(before, 0u) << "allocation hook not linked";
+    accel.run_codes_batched_into(state, codes.data(), codes.size(),
+                                 results.data());
+    const std::uint64_t after = common::allocation_count();
+    EXPECT_EQ(after - before, 0u)
+        << "warm parallel batched fast-path inference must not touch the "
+           "heap";
+    expect_bit_identical(results.at(0), warm);
+  }
 #endif
 }
 
@@ -802,6 +939,223 @@ TEST(FastPathBound, MaxCodesWithUniformSignWeightsMatchStepped) {
         }
       }
     }
+  }
+}
+
+// ------------------------------------------------- proven word width
+
+/// uniform_lenet(0.5, 8) with its final layer's weights given `positive`
+/// sign and its biases set so that, with every input code at 2^8-1, each
+/// logit lands `past` beyond the int32 edge of that sign — the proven range
+/// then ends exactly there too.
+quant::QuantizedNetwork lenet_at_int32_edge(bool positive, std::int64_t past) {
+  quant::QuantizedNetwork qnet = uniform_lenet(0.5f, 8);
+  auto& fc = std::get<quant::QLinear>(qnet.layers.back());
+  const std::int64_t code_max = (1 << qnet.time_bits) - 1;
+  const std::int64_t edge = positive ? kInt32Max + past : kInt32Min - past;
+  for (std::int64_t o = 0; o < fc.out_features; ++o) {
+    std::int64_t sum = 0;
+    for (std::int64_t i = 0; i < fc.in_features; ++i) {
+      std::int32_t& w = fc.weight.data()[o * fc.in_features + i];
+      EXPECT_GT(w, 0);
+      if (!positive) w = -w;
+      sum += w;
+    }
+    fc.bias.data()[o] = edge - sum * code_max;
+  }
+  return qnet;
+}
+
+TEST(FastPathWord, Int32EdgeNetworksMatchSteppedInBothInstances) {
+  struct Case {
+    bool positive;
+    std::int64_t past;
+    int word_bits;
+    const char* label;
+  };
+  constexpr Case kCases[] = {{true, 0, 32, "at INT32_MAX"},
+                             {true, 1, 64, "one past INT32_MAX"},
+                             {false, 0, 32, "at INT32_MIN"},
+                             {false, 1, 64, "one past INT32_MIN"}};
+  for (const Case& c : kCases) {
+    SCOPED_TRACE(c.label);
+    const quant::QuantizedNetwork qnet = lenet_at_int32_edge(c.positive, c.past);
+    const AccumulatorRange range = network_accumulator_ranges(qnet).back();
+    EXPECT_EQ(c.positive ? range.max_value : range.min_value,
+              c.positive ? kInt32Max + c.past : kInt32Min - c.past);
+    TensorI codes(qnet.input_shape);
+    codes.fill((1 << qnet.time_bits) - 1);
+    const AccelRunResult golden = Accelerator(lenet_reference_config(), qnet)
+                                      .run_codes(codes, SimMode::kStepped);
+    for (const std::int64_t logit : golden.logits)
+      EXPECT_EQ(logit, c.positive ? range.max_value : range.min_value);
+
+    const std::vector<TensorI> batch(3, codes);
+    for (const PlanVariant& variant : kPlanVariants) {
+      for (const int threads : {1, 2}) {
+        for (const bool force_scalar : {false, true}) {
+          SCOPED_TRACE(std::string(variant.label) +
+                       " threads=" + std::to_string(threads) +
+                       (force_scalar ? " scalar" : " dispatched"));
+          common::simd::ScopedForceScalar force(force_scalar);
+          AcceleratorConfig cfg = lenet_reference_config();
+          cfg.fast_path.layout = variant.layout;
+          cfg.fast_path.fuse_conv_pool = variant.fuse;
+          cfg.fast_path.threads = threads;
+          const Accelerator accel(cfg, qnet);
+          EXPECT_EQ(accel.fast_prepared_shared()->word_bits, c.word_bits);
+          expect_bit_identical(accel.run_codes(codes), golden);
+          Accelerator::WorkerState state = accel.make_worker_state();
+          std::vector<AccelRunResult> results(batch.size());
+          accel.run_codes_batched_into(state, batch.data(), batch.size(),
+                                       results.data());
+          for (std::size_t b = 0; b < batch.size(); ++b) {
+            SCOPED_TRACE("image " + std::to_string(b));
+            expect_bit_identical(results[b], golden);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(FastPathWord, PartialSumPastInt32ForcesInt64EvenWhenBiasPullsBack) {
+  // One raw 1x1 conv at T = 1 over two inputs: weights 2^30 and 2^30 put
+  // the running partial sum at 2^31 — past int32 — while the bias pulls
+  // acc + bias back to 2^30. The proof covers partial sums, so that pack
+  // must run int64; one less on a weight ends exactly on INT32_MAX.
+  for (const std::int32_t second : {(1 << 30) - 1, 1 << 30}) {
+    SCOPED_TRACE("second weight " + std::to_string(second));
+    quant::QConv2d conv;
+    conv.in_channels = 2;
+    conv.out_channels = 1;
+    conv.kernel = 1;
+    conv.weight =
+        TensorI(Shape{1, 2, 1, 1}, std::vector<std::int32_t>{1 << 30, second});
+    conv.bias = TensorI64(Shape{1});
+    conv.bias.data()[0] = -(std::int64_t{1} << 30);
+    conv.requantize = false;
+    quant::QuantizedNetwork qnet;
+    qnet.time_bits = 1;
+    qnet.weight_bits = 32;
+    qnet.input_shape = Shape{2, 1, 1};
+    qnet.layers.emplace_back(conv);
+
+    const Accelerator accel(AcceleratorConfig{}, qnet);
+    EXPECT_EQ(accel.fast_prepared_shared()->word_bits,
+              second == (1 << 30) ? 64 : 32);
+    TensorI codes(qnet.input_shape);
+    codes.fill(1);
+    const AccelRunResult run = accel.run_codes(codes);
+    expect_bit_identical(run, accel.run_codes(codes, SimMode::kStepped));
+    ASSERT_EQ(run.logits.size(), 1u);
+    EXPECT_EQ(run.logits[0], std::int64_t{second});
+  }
+}
+
+/// The same program through the int32 instance its pack proved and the
+/// int64 instance (the pack with its word widened — always safe): batch 1,
+/// the whole batch, and two parallel slices must agree record for record.
+void expect_word_instances_agree(const ir::LayerProgram& program,
+                                 const std::vector<TensorI>& codes) {
+  const FastPrepared narrow = prepare_fast_path(program);
+  ASSERT_EQ(narrow.word_bits, 32);
+  FastPrepared wide = narrow;
+  wide.word_bits = 64;
+  common::Arena arena;
+  common::TaskPool pool(2);
+  for (const std::size_t batch : {std::size_t{1}, codes.size()}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    std::vector<AccelRunResult> a(batch), b(batch), c(batch);
+    run_fast_path_batched(program, narrow, arena, codes.data(), batch, 0,
+                          program.size(), nullptr, a.data());
+    run_fast_path_batched(program, wide, arena, codes.data(), batch, 0,
+                          program.size(), nullptr, b.data());
+    run_fast_path_batched_parallel(program, wide, pool, codes.data(), batch,
+                                   0, program.size(), nullptr, c.data(), 2);
+    for (std::size_t i = 0; i < batch; ++i) {
+      SCOPED_TRACE("image " + std::to_string(i));
+      expect_bit_identical(a[i], b[i]);
+      expect_bit_identical(c[i], b[i]);
+    }
+  }
+}
+
+TEST(FastPathWord, BothInstancesBitIdenticalOnLeNetAndVgg) {
+  Rng rng(951);
+  nn::Network lenet = nn::make_lenet5();
+  lenet.init_params(rng);
+  const quant::QuantizedNetwork lenet_q =
+      quant::quantize(lenet, quant::QuantizeConfig{3, 8});
+  const std::vector<TensorI> lenet_codes = random_code_batch(lenet_q, 5, rng);
+  for (const PlanVariant& variant : kPlanVariants) {
+    SCOPED_TRACE(variant.label);
+    AcceleratorConfig cfg = lenet_reference_config();
+    cfg.fast_path.layout = variant.layout;
+    cfg.fast_path.fuse_conv_pool = variant.fuse;
+    expect_word_instances_agree(ir::lower(lenet_q, cfg), lenet_codes);
+  }
+
+  nn::Network vgg = nn::make_vgg11();
+  vgg.init_params(rng);
+  const quant::QuantizedNetwork vgg_q =
+      quant::quantize(vgg, quant::QuantizeConfig{3, 3});
+  SCOPED_TRACE("vgg11");
+  expect_word_instances_agree(ir::lower(vgg_q, vgg11_table3_config()),
+                              random_code_batch(vgg_q, 3, rng));
+}
+
+TEST(FastPathWord, Int32WordsHalveArenaBytesPerImage) {
+  Rng rng(952);
+  nn::Network lenet = nn::make_lenet5();
+  lenet.init_params(rng);
+  const quant::QuantizedNetwork qnet =
+      quant::quantize(lenet, quant::QuantizeConfig{3, 8});
+  const ir::LayerProgram program = ir::lower(qnet, lenet_reference_config());
+  const std::vector<TensorI> codes = random_code_batch(qnet, 32, rng);
+  const FastPrepared narrow = prepare_fast_path(program);
+  ASSERT_EQ(narrow.word_bits, 32);
+  FastPrepared wide = narrow;
+  wide.word_bits = 64;
+
+  // Bytes one warm run bumps through its arena, per image.
+  const auto bytes_per_image = [&](const FastPrepared& prep) {
+    common::Arena arena;
+    std::vector<AccelRunResult> results(codes.size());
+    for (int rep = 0; rep < 2; ++rep) {
+      for (AccelRunResult& r : results) r = AccelRunResult{};
+      run_fast_path_batched(program, prep, arena, codes.data(), codes.size(),
+                            0, program.size(), nullptr, results.data());
+    }
+    return static_cast<double>(arena.round_bytes()) /
+           static_cast<double>(codes.size());
+  };
+  const double narrow_bytes = bytes_per_image(narrow);
+  const double wide_bytes = bytes_per_image(wide);
+  // Only the four per-image int64 counters and block alignment keep the
+  // ratio off exactly one half.
+  EXPECT_NEAR(narrow_bytes / wide_bytes, 0.5, 0.01)
+      << narrow_bytes << " vs " << wide_bytes << " bytes per image";
+}
+
+TEST(FastPath, RejectsCodesOutsideTheTBitRange) {
+  Rng rng(953);
+  nn::Network net = rsnn::testing::small_random_net(rng);
+  const quant::QuantizedNetwork qnet =
+      quant::quantize(net, quant::QuantizeConfig{3, 4});
+  AcceleratorConfig cfg;
+  cfg.conv = ConvUnitGeometry{16, 3, 24};
+  cfg.pool = PoolUnitGeometry{8, 2, 16};
+  cfg.linear = LinearUnitGeometry{8, 24};
+  const Accelerator accel(cfg, qnet);
+  TensorI codes(qnet.input_shape);
+  codes.fill(15);  // 2^4 - 1: the largest T-bit code
+  EXPECT_NO_THROW(accel.run_codes(codes));
+  for (const std::int32_t bad : {16, -1, std::numeric_limits<int>::min()}) {
+    SCOPED_TRACE("code " + std::to_string(bad));
+    codes.data()[7] = bad;
+    EXPECT_THROW(accel.run_codes(codes), ContractViolation);
+    EXPECT_THROW(accel.run_codes(codes, SimMode::kStepped), ContractViolation);
   }
 }
 

@@ -3,13 +3,17 @@
 //   (1) radix SNN == quantized reference (bit-exact),
 //   (2) cycle-accurate accelerator == quantized reference (bit-exact),
 //   (4) fast-path accounting == the stepped dataflow's: cycles (also equal
-//       to the analytic prediction), adder ops and traffic.
+//       to the analytic prediction), adder ops and traffic,
+//   (5) the fast path's int32 words (which the pack proves safe at these
+//       widths) == its int64 words,
 // plus serialization round-trips and unit-count invariance (3).
 #include <gtest/gtest.h>
 
 #include <cstdio>
 
+#include "common/arena.hpp"
 #include "hw/accelerator.hpp"
+#include "hw/fast_path.hpp"
 #include "nn/activation.hpp"
 #include "nn/conv2d.hpp"
 #include "nn/flatten.hpp"
@@ -101,6 +105,21 @@ TEST_P(ArchitectureSweep, AllInvariantsHold) {
     EXPECT_EQ(run.total_cycles, accel.predict_total_cycles());
     rsnn::testing::expect_same_totals(
         run, accel.run_codes(codes, hw::SimMode::kStepped));
+
+    // (5) both word instances over the same prepared weights.
+    const ir::LayerProgram& program = accel.program();
+    const hw::FastPrepared narrow = hw::prepare_fast_path(program);
+    EXPECT_EQ(narrow.word_bits, 32);
+    hw::FastPrepared wide = narrow;
+    wide.word_bits = 64;
+    common::Arena arena;
+    hw::AccelRunResult narrow_run, wide_run;
+    hw::run_fast_path_batched(program, narrow, arena, &codes, 1, 0,
+                              program.size(), nullptr, &narrow_run);
+    hw::run_fast_path_batched(program, wide, arena, &codes, 1, 0,
+                              program.size(), nullptr, &wide_run);
+    rsnn::testing::expect_same_totals(narrow_run, wide_run);
+    rsnn::testing::expect_same_totals(narrow_run, run);
   }
 
   // (3) unit-count invariance.
