@@ -55,9 +55,10 @@ void add_i32_scalar(std::int32_t* acc, const std::int32_t* src,
   for (std::int64_t i = 0; i < n; ++i) acc[i] += src[i];
 }
 
-/// The one spike-counting loop every table instantiates; `Popcount` is the
-/// set-bit count of the table's ISA. Always inlined, so a caller compiled
-/// for POPCNT expands the count to the instruction.
+/// The scalar spike-counting loop (the portable counters and the x86 int64
+/// one); `Popcount` is the set-bit count of the caller's ISA. Always
+/// inlined, so a caller compiled for POPCNT expands the count to the
+/// instruction.
 template <class W, class Popcount>
 [[gnu::always_inline]] inline void count_spikes_body(
     std::int64_t* out, const W* codes, const std::int32_t* weight,

@@ -499,7 +499,8 @@ FastPrepared prepare_fast_path(const ir::LayerProgram& program) {
       const std::int64_t oh = op.out_shape.dim(1), ow = op.out_shape.dim(2);
       const std::int64_t k = conv.kernel;
       const std::int64_t cin = conv.in_channels, cout = conv.out_channels;
-      // A spike at (y, x) feeds county[y] * countx[x] kernel windows.
+      // A spike at (y, x) feeds the product of its two axis coverages in
+      // kernel windows (ir::exact_adder_ops's rule).
       p.coverage.resize(static_cast<std::size_t>(ih * iw));
       for (std::int64_t y = 0; y < ih; ++y) {
         const std::int64_t cy =
