@@ -3,7 +3,7 @@
 // Runs the replicated serving pool (LeNet-5 at T=4, reference engine — the
 // numerics are identical across engines and the point here is the serving
 // fabric, not the cycle model) through a set of seeded fault scenarios and
-// writes BENCH_pr6_faults.json:
+// writes BENCH_faults.json:
 //   * baseline       — no faults; the goodput/latency yardstick.
 //   * transient5     — 5% of attempts fail transiently; bounded retry with
 //     backoff must hold latency-class goodput >= 99%.
@@ -149,7 +149,7 @@ FaultRecord run_scenario(const ir::LayerProgram& program,
 int main(int argc, char** argv) {
   // 96 keeps the admission queue non-empty long enough for the stall
   // scenario's second injected stall to land (and quarantine) on replica 1.
-  std::string json_path = "BENCH_pr6_faults.json";
+  std::string json_path = "BENCH_faults.json";
   int requests = 96;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)

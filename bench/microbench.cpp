@@ -1,40 +1,15 @@
-// Microbenchmarks for the simulator's hot paths: radix encode/decode, the
-// quantized integer forward pass, the cycle-accurate accelerator, and the
-// analytic latency model. These track simulator performance, not paper
-// results.
-//
-// Two modes:
-//   * default — google-benchmark registrations (when the library is
-//     available at configure time).
-//   * --json <path> [--samples N] [--tiny] [--compare OLD.json] —
-//     self-contained chrono timing of the inference paths, written as
-//     machine-readable JSON (BENCH_*.json style) so successive PRs can
-//     compare ns/inference. This mode needs only the standard library.
-//     --tiny restricts the run to the small-network entries — including a
-//     small pipelined run — plus radix encoding (seconds,
-//     not minutes — the CI bench-smoke tier). Each of those small entries
-//     is the fastest of kSmallPasses timed passes (a single pass spreads
-//     by about ±20% from run to run, wider than the gate); the JSON records
-//     every entry's pass count. --compare reads a previous run's JSON,
-//     prints the per-entry speedup, and exits non-zero if any shared entry
-//     regressed by more than 10%.
-#include <algorithm>
-#include <chrono>
+// Microbenchmarks (google-benchmark) for the simulator's hot paths: radix
+// encode/decode, the quantized integer forward pass, the cycle-accurate
+// accelerator, and the analytic latency model. They time single calls for
+// profiling and are not gated. The repository's benchmark is
+// benchmark/run.py (see benchmark/README.md); tools/bench_ab.py compares two
+// commits with it.
+#include <benchmark/benchmark.h>
+
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "common/rng.hpp"
-#include "common/simd.hpp"
-#include "compiler/partition.hpp"
 #include "encoding/radix.hpp"
-#include "engine/engine.hpp"
-#include "engine/pipeline.hpp"
 #include "hw/accelerator.hpp"
 #include "hw/conv_unit.hpp"
 #include "nn/activation.hpp"
@@ -45,10 +20,6 @@
 #include "nn/pool2d.hpp"
 #include "nn/zoo.hpp"
 #include "quant/quantize.hpp"
-
-#ifndef RSNN_NO_GOOGLE_BENCHMARK
-#include <benchmark/benchmark.h>
-#endif
 
 namespace {
 
@@ -85,516 +56,6 @@ quant::QuantizedNetwork make_lenet_qnet(int T) {
       p->value.at_flat(i) *= 0.5f;
   return quant::quantize(lenet, quant::QuantizeConfig{3, T});
 }
-
-// ------------------------------------------------------------- JSON mode
-
-struct BenchResult {
-  std::string name;
-  double ns_per_inference = 0.0;
-  int samples = 0;
-  double images_per_sec = 0.0;  ///< emitted when > 0 (pipeline entries)
-  int passes = 1;               ///< timed passes; ns is the fastest one
-};
-
-/// Timed passes per small (--tiny) entry (about a millisecond each). The
-/// minimum over passes drops the scheduler and frequency hiccups a single
-/// pass is exposed to.
-constexpr int kSmallPasses = 100;
-
-// ------------------------------------------------------- host metadata
-//
-// Absolute ns/inference only means something relative to the machine that
-// produced it. Every BENCH_*.json therefore records the host it ran on, and
-// --compare refuses to stay silent when the baseline's host differs.
-
-/// Approximate sustained clock in MHz, measured by timing a dependent-add
-/// chain (1 add/cycle on every x86/ARM core this tool targets). Good to
-/// ~10% — enough to tell a 2.1 GHz CI box from a 4.5 GHz laptop, which is
-/// all the cross-host comparison warning needs.
-double approx_clock_mhz() {
-#if defined(__GNUC__) || defined(__clang__)
-  constexpr std::uint64_t kIters = 64 * 1000 * 1000;
-  double best_mhz = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {  // best-of-3 rides out scheduler noise
-    std::uint64_t acc = 1;
-    const auto begin = std::chrono::steady_clock::now();
-    for (std::uint64_t i = 0; i < kIters; ++i) {
-      acc += i;
-      // Empty barrier: without it the whole chain folds to a closed-form
-      // sum and the "loop" finishes in microseconds.
-      asm volatile("" : "+r"(acc));
-    }
-    const auto end = std::chrono::steady_clock::now();
-    const double ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-            .count());
-    if (ns > 0.0) best_mhz = std::max(best_mhz, kIters * 1e3 / ns);
-  }
-  return best_mhz;
-#else
-  return 0.0;  // unknown — the cross-host comparison skips the clock check
-#endif
-}
-
-struct HostInfo {
-  unsigned cores = 0;  ///< std::thread::hardware_concurrency()
-  std::string simd_active;
-  double clock_mhz_approx = 0.0;
-};
-
-HostInfo current_host() {
-  HostInfo host;
-  host.cores = std::thread::hardware_concurrency();
-  host.simd_active = common::simd::active_isa();
-  host.clock_mhz_approx = approx_clock_mhz();
-  return host;
-}
-
-/// Wall-clock ns per call of `fn` over `samples` calls (one warmup call),
-/// the fastest of `passes` timed passes.
-template <typename Fn>
-double time_ns_per_call(int samples, Fn&& fn, int passes = 1) {
-  fn();  // warmup: page in weights, encode caches
-  double best = 0.0;
-  for (int pass = 0; pass < passes; ++pass) {
-    const auto begin = std::chrono::steady_clock::now();
-    for (int i = 0; i < samples; ++i) fn();
-    const auto end = std::chrono::steady_clock::now();
-    const double ns =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(end - begin)
-                .count()) /
-        samples;
-    if (pass == 0 || ns < best) best = ns;
-  }
-  return best;
-}
-
-/// Time one warm batch through `pipe` (after one warm-up batch), the
-/// fastest of `passes` — a pipeline entry with its images/sec.
-BenchResult time_pipeline(std::string name, engine::PipelineExecutor& pipe,
-                          const std::vector<TensorI>& batch, int passes = 1) {
-  BenchResult r;
-  r.name = std::move(name);
-  r.ns_per_inference =
-      time_ns_per_call(1, [&] { pipe.run_pipeline(batch); }, passes) /
-      static_cast<double>(batch.size());
-  r.samples = static_cast<int>(batch.size());
-  r.images_per_sec = 1e9 / r.ns_per_inference;
-  r.passes = passes;
-  return r;
-}
-
-/// Parse the (name, ns_per_inference) pairs out of a microbench JSON file.
-/// Only understands the format run_json_mode() writes — that is the point:
-/// the baseline being compared against is a previous run of this tool.
-std::vector<std::pair<std::string, double>> parse_bench_json(
-    const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) return {};
-  std::string text;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, in)) > 0;)
-    text.append(buf, n);
-  std::fclose(in);
-
-  std::vector<std::pair<std::string, double>> entries;
-  const std::string name_key = "\"name\": \"";
-  const std::string ns_key = "\"ns_per_inference\": ";
-  std::size_t pos = 0;
-  while ((pos = text.find(name_key, pos)) != std::string::npos) {
-    pos += name_key.size();
-    const std::size_t name_end = text.find('"', pos);
-    if (name_end == std::string::npos) break;
-    const std::string name = text.substr(pos, name_end - pos);
-    const std::size_t ns_pos = text.find(ns_key, name_end);
-    if (ns_pos == std::string::npos) break;
-    entries.emplace_back(name,
-                         std::strtod(text.c_str() + ns_pos + ns_key.size(),
-                                     nullptr));
-    pos = ns_pos;
-  }
-  return entries;
-}
-
-/// Parse the "host" object out of a microbench JSON file written by
-/// run_json_mode(). Fields stay zero/empty when absent (pre-PR-9 baselines
-/// carry no host block — treated as "unknown host", which warns).
-HostInfo parse_baseline_host(const std::string& path) {
-  HostInfo host;
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) return host;
-  std::string text;
-  char buf[4096];
-  for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, in)) > 0;)
-    text.append(buf, n);
-  std::fclose(in);
-
-  const auto find_num = [&](const char* key) -> double {
-    const std::size_t pos = text.find(key);
-    if (pos == std::string::npos) return 0.0;
-    return std::strtod(text.c_str() + pos + std::strlen(key), nullptr);
-  };
-  host.cores = static_cast<unsigned>(find_num("\"hardware_concurrency\": "));
-  host.clock_mhz_approx = find_num("\"clock_mhz_approx\": ");
-  const std::string simd_key = "\"simd_active\": \"";
-  const std::size_t simd_pos = text.find(simd_key);
-  if (simd_pos != std::string::npos) {
-    const std::size_t begin = simd_pos + simd_key.size();
-    const std::size_t end = text.find('"', begin);
-    if (end != std::string::npos)
-      host.simd_active = text.substr(begin, end - begin);
-  }
-  return host;
-}
-
-/// Loudly flag a baseline produced on a different machine: the per-entry
-/// speedups below are then hardware deltas, not code deltas. Warns only —
-/// the pass/fail gate is unchanged (CI regenerates its comparison point on
-/// the same runner, so a mismatch there means the committed baseline needs
-/// re-baselining, which the regression check will surface on its own).
-void warn_if_host_differs(const HostInfo& baseline, const HostInfo& now) {
-  std::vector<std::string> diffs;
-  if (baseline.cores == 0 && baseline.simd_active.empty())
-    diffs.push_back("baseline records no host metadata (pre-PR-9 file?)");
-  if (baseline.cores != 0 && baseline.cores != now.cores)
-    diffs.push_back("cores: baseline " + std::to_string(baseline.cores) +
-                    " vs " + std::to_string(now.cores) + " here");
-  if (!baseline.simd_active.empty() &&
-      baseline.simd_active != now.simd_active)
-    diffs.push_back("SIMD: baseline " + baseline.simd_active + " vs " +
-                    now.simd_active + " here");
-  // The clock estimate is ~10% noise on its own, so only a >25% gap counts
-  // as "a different machine" rather than turbo/thermal wander.
-  if (baseline.clock_mhz_approx > 0.0 && now.clock_mhz_approx > 0.0) {
-    const double ratio = baseline.clock_mhz_approx / now.clock_mhz_approx;
-    if (ratio > 1.25 || ratio < 0.8)
-      diffs.push_back(
-          "clock: baseline ~" +
-          std::to_string(static_cast<int>(baseline.clock_mhz_approx)) +
-          " MHz vs ~" +
-          std::to_string(static_cast<int>(now.clock_mhz_approx)) +
-          " MHz here");
-  }
-  if (diffs.empty()) return;
-  std::fprintf(stderr,
-               "\n"
-               "  ********************************************************\n"
-               "  *  WARNING: baseline comes from a DIFFERENT HOST.      *\n"
-               "  *  Absolute ns and speedups below compare hardware,    *\n"
-               "  *  not code. Re-baseline on this machine before        *\n"
-               "  *  trusting them.                                      *\n"
-               "  ********************************************************\n");
-  for (const std::string& d : diffs)
-    std::fprintf(stderr, "  *  %s\n", d.c_str());
-  std::fprintf(stderr, "\n");
-}
-
-/// Print per-entry speedup vs a previous run and flag >10% regressions.
-/// Returns non-zero if any entry shared with the baseline got slower than
-/// the threshold allows.
-int compare_against(const std::string& baseline_path,
-                    const std::vector<BenchResult>& results,
-                    const HostInfo& host) {
-  const auto baseline = parse_bench_json(baseline_path);
-  if (baseline.empty()) {
-    std::fprintf(stderr, "microbench: no entries parsed from %s\n",
-                 baseline_path.c_str());
-    return 1;
-  }
-  warn_if_host_differs(parse_baseline_host(baseline_path), host);
-  constexpr double kRegressionThreshold = 1.10;
-  int regressions = 0, shared = 0;
-  std::printf("\ncomparison vs %s (speedup = old/new)\n",
-              baseline_path.c_str());
-  for (const BenchResult& r : results) {
-    const auto it =
-        std::find_if(baseline.begin(), baseline.end(),
-                     [&](const auto& e) { return e.first == r.name; });
-    if (it == baseline.end()) {
-      std::printf("  %-40s %14.1f ns  (new entry, no baseline)\n",
-                  r.name.c_str(), r.ns_per_inference);
-      continue;
-    }
-    ++shared;
-    const double speedup = it->second / r.ns_per_inference;
-    const bool regressed =
-        r.ns_per_inference > it->second * kRegressionThreshold;
-    std::printf("  %-40s %14.1f -> %12.1f ns   %5.2fx%s\n", r.name.c_str(),
-                it->second, r.ns_per_inference, speedup,
-                regressed ? "  REGRESSION" : "");
-    if (regressed) ++regressions;
-  }
-  if (shared == 0) {
-    std::fprintf(stderr,
-                 "microbench: no entries shared with the baseline\n");
-    return 1;
-  }
-  if (regressions > 0) {
-    std::fprintf(stderr,
-                 "microbench: %d entr%s regressed by more than %.0f%%\n",
-                 regressions, regressions == 1 ? "y" : "ies",
-                 (kRegressionThreshold - 1.0) * 100.0);
-    return 1;
-  }
-  std::printf("  no entry regressed by more than %.0f%%\n",
-              (kRegressionThreshold - 1.0) * 100.0);
-  return 0;
-}
-
-int run_json_mode(const std::string& path, int samples, bool tiny,
-                  const std::string& compare_path) {
-  std::vector<BenchResult> results;
-  Rng rng(4);
-
-  // The acceptance workload: LeNet-5 at T=8 on the paper's reference
-  // configuration, fast path and stepped. Skipped by --tiny.
-  if (!tiny) {
-    const auto qnet = make_lenet_qnet(8);
-    hw::Accelerator accel(hw::lenet_reference_config(), qnet);
-    const TensorF image = random_image(Shape{1, 32, 32}, rng);
-    const TensorI codes = quant::encode_activations(image, 8);
-    results.push_back(
-        {"cycle_accurate_lenet_t8",
-         time_ns_per_call(samples,
-                          [&] {
-                            auto r = accel.run_codes(
-                                codes, hw::SimMode::kCycleAccurate);
-                            (void)r;
-                          }),
-         samples});
-    // The golden stepped dataflow the fast path is checked against — kept
-    // as its own entry so the fast-path speedup stays visible over time.
-    results.push_back(
-        {"stepped_lenet_t8",
-         time_ns_per_call(std::max(1, samples / 4),
-                          [&] {
-                            auto r =
-                                accel.run_codes(codes, hw::SimMode::kStepped);
-                            (void)r;
-                          }),
-         std::max(1, samples / 4)});
-
-    // The single-state batched kernel: 32 distinct images through one
-    // prepared-weight traversal per op (run_codes_batched_into), reported
-    // per inference.
-    {
-      Rng brng(11);
-      std::vector<TensorI> batch32;
-      for (int i = 0; i < 32; ++i)
-        batch32.push_back(quant::encode_activations(
-            random_image(Shape{1, 32, 32}, brng), 8));
-      hw::Accelerator::WorkerState state = accel.make_worker_state();
-      std::vector<hw::AccelRunResult> out(batch32.size());
-      const int batch_samples = std::max(1, samples / 4);
-      const double ns = time_ns_per_call(batch_samples, [&] {
-        accel.run_codes_batched_into(state, batch32.data(), batch32.size(),
-                                     out.data());
-      });
-      results.push_back({"batch32_cycle_accurate_lenet_t8",
-                         ns / static_cast<double>(batch32.size()),
-                         batch_samples});
-
-      // The same 32-image batch through the intra-op parallel driver
-      // (fast_path.threads = 0 — one slice per hardware thread, all slices
-      // streaming the shared prepared weights). Bit-identical to the entry
-      // above; the ratio between the two is the multi-core speedup.
-      hw::AcceleratorConfig pcfg = hw::lenet_reference_config();
-      pcfg.fast_path.threads = 0;
-      hw::Accelerator paccel(pcfg, qnet);
-      hw::Accelerator::WorkerState pstate = paccel.make_worker_state();
-      const double pns = time_ns_per_call(batch_samples, [&] {
-        paccel.run_codes_batched_into(pstate, batch32.data(), batch32.size(),
-                                      out.data());
-      });
-      results.push_back({"parallel_batch32_cycle_accurate_lenet_t8",
-                         pns / static_cast<double>(batch32.size()),
-                         batch_samples});
-    }
-
-    // The other two engines over the same lowered program.
-    const ir::LayerProgram& program = accel.program();
-    for (const auto kind : {engine::EngineKind::kBehavioral,
-                            engine::EngineKind::kReference}) {
-      auto eng = engine::make_engine(kind, program);
-      results.push_back(
-          {std::string(eng->name()) + "_lenet_t8",
-           time_ns_per_call(samples,
-                            [&] {
-                              auto r = eng->run_codes(codes);
-                              (void)r;
-                            }),
-           samples});
-    }
-
-    // Partitioned throughput: the program cut into 2 and 4 latency-balanced
-    // stages, one simulated accelerator per stage, run in sequence.
-    for (const int stages : {2, 4}) {
-      const auto segments =
-          compiler::partition_balance_latency(program, stages);
-      engine::PipelineExecutor pipe(program, segments,
-                                    engine::EngineKind::kCycleAccurate);
-      const std::vector<TensorI> pipe_batch(
-          static_cast<std::size_t>(std::max(8, samples)), codes);
-      results.push_back(time_pipeline(
-          "pipeline" + std::to_string(stages) +
-              "stage_cycle_accurate_lenet_t8",
-          pipe, pipe_batch));
-    }
-  }
-
-  // Re-lowered 4-stage VGG-11 pipeline (the PR 4 metric): each stage is
-  // re-compiled against its own device, so the early stages hold their
-  // weights on chip instead of inheriting the monolithic DRAM-streaming
-  // plan. Cycle-accurate engine — the fast path at VGG scale.
-  if (!tiny) {
-    Rng vrng(9);
-    nn::Network vgg = nn::make_vgg11();
-    vgg.init_params(vrng);
-    const auto qnet = quant::quantize(vgg, quant::QuantizeConfig{3, 3});
-    const ir::LayerProgram program =
-        ir::lower(qnet, hw::vgg11_table3_config());
-    const auto segments = compiler::partition_balance_latency(
-        program, 4, compiler::PartitionOptions{});
-    engine::PipelineExecutor pipe(program, segments,
-                                  engine::EngineKind::kCycleAccurate);
-    const TensorF image = random_image(Shape{3, 32, 32}, vrng);
-    const TensorI codes = quant::encode_activations(image, qnet.time_bits);
-    const std::vector<TensorI> batch(
-        static_cast<std::size_t>(std::max(4, samples / 8)), codes);
-    results.push_back(
-        time_pipeline("pipeline4stage_relowered_vgg11", pipe, batch));
-
-    // VGG-11 through the monolithic accelerator's parallel batched fast
-    // path: 8 distinct images, one slice per hardware thread, all slices
-    // streaming the same DRAM-placed prepared weights. The PR 9 headline —
-    // compare against pipeline4stage_relowered_vgg11 images/sec.
-    {
-      hw::AcceleratorConfig pcfg = hw::vgg11_table3_config();
-      pcfg.fast_path.threads = 0;
-      hw::Accelerator paccel(pcfg, qnet);
-      Rng brng(13);
-      std::vector<TensorI> batch8;
-      for (int i = 0; i < 8; ++i)
-        batch8.push_back(quant::encode_activations(
-            random_image(Shape{3, 32, 32}, brng), qnet.time_bits));
-      hw::Accelerator::WorkerState pstate = paccel.make_worker_state();
-      std::vector<hw::AccelRunResult> out(batch8.size());
-      const int vgg_samples = std::max(1, samples / 16);
-      const double ns = time_ns_per_call(vgg_samples, [&] {
-        paccel.run_codes_batched_into(pstate, batch8.data(), batch8.size(),
-                                      out.data());
-      });
-      BenchResult pr;
-      pr.name = "parallel_batch8_vgg11";
-      pr.ns_per_inference = ns / static_cast<double>(batch8.size());
-      pr.samples = vgg_samples;
-      pr.images_per_sec = 1e9 / pr.ns_per_inference;
-      results.push_back(pr);
-    }
-  }
-
-  // The small network at T=4 (historic tracking point), plus a small
-  // pipelined entry so --tiny exercises both execution paths CI
-  // smoke-tests: single-shot and pipeline stages.
-  {
-    const auto qnet = make_qnet(4);
-    hw::AcceleratorConfig cfg;
-    cfg.num_conv_units = 2;
-    cfg.conv = hw::ConvUnitGeometry{16, 3, 24};
-    cfg.pool = hw::PoolUnitGeometry{8, 2, 16};
-    cfg.linear = hw::LinearUnitGeometry{8, 24};
-    hw::Accelerator accel(cfg, qnet);
-    const TensorF image = random_image(Shape{1, 16, 16}, rng);
-    const TensorI codes = quant::encode_activations(image, 4);
-    results.push_back(
-        {"cycle_accurate_small_t4",
-         time_ns_per_call(
-             samples * 4,
-             [&] {
-               auto r = accel.run_codes(codes, hw::SimMode::kCycleAccurate);
-               (void)r;
-             },
-             kSmallPasses),
-         samples * 4, 0.0, kSmallPasses});
-
-    const ir::LayerProgram& program = accel.program();
-    {
-      const auto segments = compiler::partition_balance_latency(program, 2);
-      engine::PipelineExecutor pipe(program, segments,
-                                    engine::EngineKind::kCycleAccurate);
-      const std::vector<TensorI> batch(
-          static_cast<std::size_t>(std::max(16, samples * 4)), codes);
-      results.push_back(time_pipeline(
-          "pipeline2stage_cycle_accurate_small_t4", pipe, batch,
-          kSmallPasses));
-    }
-  }
-
-  // Radix encoding throughput.
-  {
-    const TensorF image = random_image(Shape{1, 32, 32}, rng);
-    results.push_back({"radix_encode_32x32_t6",
-                       time_ns_per_call(
-                           samples * 16,
-                           [&] {
-                             auto t = encoding::radix_encode(image, 6);
-                             (void)t;
-                           },
-                           kSmallPasses),
-                       samples * 16, 0.0, kSmallPasses});
-  }
-
-  const HostInfo host = current_host();
-
-  std::FILE* out = std::fopen(path.c_str(), "w");
-  if (out == nullptr) {
-    std::fprintf(stderr, "microbench: cannot open %s for writing\n",
-                 path.c_str());
-    return 1;
-  }
-  std::fprintf(out, "{\n  \"benchmark_set\": \"rsnn_microbench\",\n");
-  std::fprintf(out, "  \"unit\": \"ns_per_inference\",\n");
-  std::fprintf(out, "  \"threads\": %u,\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(out, "  \"simd\": {\"detected\": \"%s\", \"active\": \"%s\"},\n",
-               common::simd::detected_isa(), common::simd::active_isa());
-  std::fprintf(out,
-               "  \"host\": {\"cores\": %u, \"hardware_concurrency\": %u, "
-               "\"simd_active\": \"%s\", \"clock_mhz_approx\": %.0f},\n",
-               host.cores, host.cores, host.simd_active.c_str(),
-               host.clock_mhz_approx);
-  std::fprintf(out, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    std::fprintf(out,
-                 "    {\"name\": \"%s\", \"ns_per_inference\": %.1f, "
-                 "\"samples\": %d, \"passes\": %d",
-                 results[i].name.c_str(), results[i].ns_per_inference,
-                 results[i].samples, results[i].passes);
-    if (results[i].images_per_sec > 0.0)
-      std::fprintf(out, ", \"images_per_sec\": %.1f",
-                   results[i].images_per_sec);
-    std::fprintf(out, "}%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(out, "  ]\n}\n");
-  std::fclose(out);
-
-  for (const BenchResult& r : results) {
-    std::printf("%-36s %14.1f ns/inference", r.name.c_str(),
-                r.ns_per_inference);
-    if (r.images_per_sec > 0.0)
-      std::printf("  (%.1f images/sec)", r.images_per_sec);
-    std::printf("\n");
-  }
-  std::printf("wrote %s\n", path.c_str());
-  if (!compare_path.empty())
-    return compare_against(compare_path, results, host);
-  return 0;
-}
-
-// ------------------------------------------------- google-benchmark mode
-
-#ifndef RSNN_NO_GOOGLE_BENCHMARK
 
 void BM_RadixEncode(benchmark::State& state) {
   Rng rng(1);
@@ -668,38 +129,6 @@ void BM_LatencyPrediction(benchmark::State& state) {
 }
 BENCHMARK(BM_LatencyPrediction);
 
-#endif  // RSNN_NO_GOOGLE_BENCHMARK
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  std::string json_path;
-  std::string compare_path;
-  int samples = 20;
-  bool tiny = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc)
-      json_path = argv[++i];
-    else if (std::strcmp(argv[i], "--samples") == 0 && i + 1 < argc)
-      samples = std::max(1, std::atoi(argv[++i]));
-    else if (std::strcmp(argv[i], "--tiny") == 0)
-      tiny = true;
-    else if (std::strcmp(argv[i], "--compare") == 0 && i + 1 < argc)
-      compare_path = argv[++i];
-  }
-  if (!json_path.empty())
-    return run_json_mode(json_path, samples, tiny, compare_path);
-
-#ifndef RSNN_NO_GOOGLE_BENCHMARK
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-#else
-  std::fprintf(stderr,
-               "microbench built without google-benchmark; use --json <path> "
-               "[--samples N]\n");
-  return 1;
-#endif
-}
+BENCHMARK_MAIN();

@@ -2,7 +2,7 @@
 //
 // Sweeps pipeline stages x replicas x admission-queue depth on LeNet-5
 // (T=8, cycle-accurate — the acceptance workload) and VGG-11 (T=3,
-// analytic, re-lowered stages), and writes BENCH_pr5_serving.json.
+// analytic, re-lowered stages), and writes BENCH_serving.json.
 //
 // Two throughput numbers per configuration:
 //   * images_per_sec        — modeled hardware fleet throughput:
@@ -11,7 +11,7 @@
 //     accelerator at its configured clock), and what compiler::plan_serving
 //     predicts; the sweep validates the prediction against measured cycles.
 //   * wall_images_per_sec   — simulator wall-clock throughput on this host
-//     (bounded by host cores, the microbench metric family).
+//     (bounded by host cores).
 // p50/p99 latencies are wall-clock admission-to-completion times through the
 // admission queue (queueing + simulated service).
 //
@@ -130,7 +130,7 @@ SweepRecord run_config(const ir::LayerProgram& program,
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string json_path = "BENCH_pr5_serving.json";
+  std::string json_path = "BENCH_serving.json";
   int images = 32;
   bool skip_vgg = false;
   for (int i = 1; i < argc; ++i) {

@@ -34,10 +34,10 @@ inline void prefetch_ro(const void* p) {
 #endif
 }
 
-/// How many weight rows ahead the streaming inner loops prefetch. Tuned with
-/// `microbench` on an AVX2 Xeon (see README "Threading model"): the win
-/// plateaus at 2 rows — the axpy over one row takes long enough to cover one
-/// row of load latency, and further distance only risks eviction before use.
+/// How many weight rows ahead the streaming inner loops prefetch. Tuned on an
+/// AVX2 Xeon (see README "Threading model"): the win plateaus at 2 rows —
+/// the axpy over one row takes long enough to cover one row of load
+/// latency, and further distance only risks eviction before use.
 /// Smaller than the hardware stride prefetcher's window, but these loops
 /// *skip* rows (zero codes, zero weights), which is exactly where the
 /// hardware predictor loses the stream.
@@ -223,37 +223,39 @@ void conv_channel_chw_batched(const QConv2d& conv, const W* in,
   }
 }
 
-/// Requantize (or bias-add, for the raw final layer) one output channel's
-/// accumulator plane in place. The transform is elementwise and identical
-/// for every image, so it runs unchanged over an interleaved plane. The
+/// Finish `count` accumulators of output channel `oc` of a conv or linear
+/// layer in place, `stride` words apart: quant::requantize_value (bias, shift
+/// by the channel's frac, saturate to a T-bit code) or, for the raw final
+/// layer, `acc + bias`. Every fast-path finish runs through here: a CHW conv
+/// plane (stride 1; the transform is identical for every image, so it runs
+/// unchanged over an interleaved plane) and one channel of the B images of
+/// an HWC conv pixel or a linear layer ([B][Cout] blocks, stride Cout). The
+/// shift direction and the saturation bound are resolved once per channel,
+/// and negatives clamp without a branch on the sign (about half of all conv
+/// outputs are negative, so a branch there mispredicts constantly). The
 /// arithmetic is int64; the result fits W (a T-bit code, or a raw
 /// `acc + bias` inside the proven range).
-template <class W>
-void finish_channel(const QConv2d& conv, std::int64_t oc, int time_bits,
-                    W* acc, std::int64_t count) {
-  const std::int64_t bias = conv.bias.data()[oc];
-  if (!conv.requantize) {
-    for (std::int64_t i = 0; i < count; ++i)
+template <class W, class Layer>
+void finish_channel(const Layer& layer, std::int64_t oc, int time_bits,
+                    W* acc, std::int64_t count, std::int64_t stride = 1) {
+  const std::int64_t bias = layer.bias.data()[oc];
+  const std::int64_t end = count * stride;
+  if (!layer.requantize) {
+    for (std::int64_t i = 0; i < end; i += stride)
       acc[i] = static_cast<W>(acc[i] + bias);
     return;
   }
-  const int frac = conv.channel_frac.numel() > 0
-                       ? conv.channel_frac.data()[oc]
-                       : conv.frac_bits;
-  // quant::requantize_value with the channel's shift direction and the
-  // saturation bound hoisted out of the per-element loop, and without a
-  // branch on the sign (about half of all conv outputs are negative, so a
-  // branch there mispredicts constantly).
+  const int frac = layer.frac_for(oc);
   const std::int64_t code_max = (std::int64_t{1} << time_bits) - 1;
   const auto saturate = [code_max](std::int64_t v) {
     v &= ~(v >> 63);  // negative -> 0
     return static_cast<W>(v > code_max ? code_max : v);
   };
   if (frac >= 0) {
-    for (std::int64_t i = 0; i < count; ++i)
+    for (std::int64_t i = 0; i < end; i += stride)
       acc[i] = saturate((acc[i] + bias) >> frac);
   } else {
-    for (std::int64_t i = 0; i < count; ++i)
+    for (std::int64_t i = 0; i < end; i += stride)
       acc[i] = saturate((acc[i] + bias) << -frac);
   }
 }
@@ -284,10 +286,11 @@ std::int64_t hwc_strip_height(std::int64_t iw, std::int64_t cin,
 /// out_hwcb[oh*ow][B][Cout] (contiguous per image). The input is repacked
 /// CHW -> [row][x][Cin][B] one output-row strip at a time (the strip stays
 /// cache-resident; halo rows between strips are repacked twice). Per output
-/// pixel an acc[B][Cout] block accumulates with the prepared
+/// pixel its [B][Cout] output block accumulates in place with the prepared
 /// [ky][kx][Cin][Cout] weights, so each weight row is applied to every image
 /// while it is hot in cache; zero activations (spike sparsity) are skipped
 /// and the contiguous output-channel loop goes to the SIMD dispatch table.
+/// The block is then finished channel by channel.
 template <int kB, class W>
 void conv_hwc_batched(const QConv2d& conv, const W* in, std::int64_t ih,
                       std::int64_t iw, std::int64_t oh, std::int64_t ow,
@@ -302,10 +305,6 @@ void conv_hwc_batched(const QConv2d& conv, const W* in, std::int64_t ih,
       hwc_strip_height(iw, cin, B, sizeof(W), k, str, oh);
   const std::int64_t rows_cap = std::min(ih, (strip_oh - 1) * str + k);
   W* tile = arena.alloc<W>(rows_cap * iw * cin * B);
-  W* acc = arena.alloc<W>(B * cout);
-  const std::int64_t* bias = conv.bias.data();
-  const std::int32_t* cf =
-      conv.channel_frac.numel() > 0 ? conv.channel_frac.data() : nullptr;
 
   for (std::int64_t oy0 = 0; oy0 < oh; oy0 += strip_oh) {
     const std::int64_t oy1 = std::min(oh, oy0 + strip_oh);
@@ -322,6 +321,7 @@ void conv_hwc_batched(const QConv2d& conv, const W* in, std::int64_t ih,
     }
     for (std::int64_t oy = oy0; oy < oy1; ++oy) {
       for (std::int64_t ox = 0; ox < ow; ++ox) {
+        W* acc = out_hwcb + (oy * ow + ox) * B * cout;
         std::fill(acc, acc + B * cout, W{0});
         for (std::int64_t ky = 0; ky < k; ++ky) {
           const std::int64_t iy = oy * str + ky - pad;
@@ -345,20 +345,8 @@ void conv_hwc_batched(const QConv2d& conv, const W* in, std::int64_t ih,
             }
           }
         }
-        W* dst = out_hwcb + (oy * ow + ox) * B * cout;
-        for (std::int64_t b = 0; b < B; ++b) {
-          const W* arow = acc + b * cout;
-          W* drow = dst + b * cout;
-          if (conv.requantize) {
-            for (std::int64_t oc = 0; oc < cout; ++oc)
-              drow[oc] = static_cast<W>(quant::requantize_value(
-                  arow[oc], bias[oc], cf ? cf[oc] : conv.frac_bits,
-                  time_bits));
-          } else {
-            for (std::int64_t oc = 0; oc < cout; ++oc)
-              drow[oc] = static_cast<W>(arow[oc] + bias[oc]);
-          }
-        }
+        for (std::int64_t oc = 0; oc < cout; ++oc)
+          finish_channel(conv, oc, time_bits, acc + oc, B, cout);
       }
     }
   }
@@ -414,22 +402,12 @@ void linear_fast_batched(const QLinear& fc, const W* in,
       axpy_weights(K, acc + b * nout, wrow, a, nout);
     }
   }
-  const std::int64_t* bias = fc.bias.data();
-  const std::int32_t* cf =
-      fc.channel_frac.numel() > 0 ? fc.channel_frac.data() : nullptr;
-  for (std::int64_t b = 0; b < B; ++b) {
-    W* row = acc + b * nout;
-    if (!fc.requantize) {
+  for (std::int64_t o = 0; o < nout; ++o)
+    finish_channel(fc, o, time_bits, acc + o, B, nout);
+  if constexpr (kB != 1)
+    for (std::int64_t b = 0; b < B; ++b)
       for (std::int64_t o = 0; o < nout; ++o)
-        row[o] = static_cast<W>(row[o] + bias[o]);
-    } else {
-      for (std::int64_t o = 0; o < nout; ++o)
-        row[o] = static_cast<W>(quant::requantize_value(
-            row[o], bias[o], cf ? cf[o] : fc.frac_bits, time_bits));
-    }
-    if constexpr (kB != 1)
-      for (std::int64_t o = 0; o < nout; ++o) out[o * B + b] = row[o];
-  }
+        out[o * B + b] = acc[b * nout + o];
 }
 
 /// Annotation-derived skeleton of one op's stats (name, cycles, traffic);

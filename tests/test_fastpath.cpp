@@ -6,15 +6,18 @@
 //
 // Also covered here: the Arena bump allocator, the zero-allocation warm
 // batched property, segment-scoped fast-path execution (a fused conv+pool
-// pair split by a pipeline cut), the accumulator bound (max codes against
+// pair split by a pipeline cut), per-channel shifts of both signs
+// saturating at 0 and 2^T-1, the accumulator bound (max codes against
 // all-positive and all-negative weights), and the proven word width — the
 // int32 and int64 kernel instances at and just past the int32 edges, the
 // SIMD kernels of both widths and the spike counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -541,22 +544,64 @@ void expect_batched_matches_sequential(
   }
 }
 
+/// `qnet` with per-channel shifts of both signs on every requantizing conv
+/// and linear layer. Left shifts push codes up to 2^T-1, right shifts and
+/// negative sums down to 0, so the fast path's finish meets both saturation
+/// edges of quant::requantize_value, which the stepped dataflow runs.
+quant::QuantizedNetwork with_mixed_channel_frac(quant::QuantizedNetwork qnet) {
+  constexpr int kFrac[] = {-2, 3, -1, 0, 5};
+  const auto mix = [&](auto& layer, std::int64_t channels) {
+    if (!layer.requantize) return;
+    layer.channel_frac = TensorI(Shape{channels});
+    for (std::int64_t c = 0; c < channels; ++c)
+      layer.channel_frac.at_flat(c) = kFrac[c % std::size(kFrac)];
+  };
+  for (quant::QLayer& layer : qnet.layers) {
+    if (auto* conv = std::get_if<quant::QConv2d>(&layer))
+      mix(*conv, conv->out_channels);
+    else if (auto* fc = std::get_if<quant::QLinear>(&layer))
+      mix(*fc, fc->out_features);
+  }
+  return qnet;
+}
+
 TEST(FastPathBatched, LeNetAllPlanVariantsMatchSequential) {
   Rng rng(812);
   nn::Network lenet = nn::make_lenet5();
   lenet.init_params(rng);
-  const quant::QuantizedNetwork qnet =
+  const quant::QuantizedNetwork per_layer =
       quant::quantize(lenet, quant::QuantizeConfig{3, 4});
-  const std::vector<TensorI> codes = random_code_batch(qnet, 8, rng);
+  const std::vector<TensorI> codes = random_code_batch(per_layer, 8, rng);
 
-  for (const PlanVariant& variant : kPlanVariants) {
-    SCOPED_TRACE(variant.label);
-    AcceleratorConfig cfg = lenet_reference_config();
-    cfg.fast_path.layout = variant.layout;
-    cfg.fast_path.fuse_conv_pool = variant.fuse;
-    const Accelerator accel(cfg, qnet);
-    expect_batched_matches_sequential(accel, codes, {1, 3, 8},
-                                      SimMode::kCycleAccurate);
+  // Every requantizing layer of the mixed-shift network saturates at both
+  // edges on the first image.
+  const quant::QuantizedNetwork mixed = with_mixed_channel_frac(per_layer);
+  std::vector<TensorI64> outputs;
+  mixed.forward_traced(codes[0], &outputs);
+  for (std::size_t li = 0; li < mixed.layers.size(); ++li) {
+    const quant::QLayer& layer = mixed.layers[li];
+    const auto* conv = std::get_if<quant::QConv2d>(&layer);
+    const auto* fc = std::get_if<quant::QLinear>(&layer);
+    if (!(conv && conv->requantize) && !(fc && fc->requantize)) continue;
+    SCOPED_TRACE("layer " + std::to_string(li));
+    const TensorI64& out = outputs[li];
+    const std::int64_t* first = out.data();
+    const std::int64_t* last = first + out.numel();
+    EXPECT_EQ(*std::min_element(first, last), 0);
+    EXPECT_EQ(*std::max_element(first, last), (1 << mixed.time_bits) - 1);
+  }
+
+  for (const auto* qnet : {&per_layer, &mixed}) {
+    SCOPED_TRACE(qnet == &mixed ? "mixed-sign channel_frac" : "per-layer frac");
+    for (const PlanVariant& variant : kPlanVariants) {
+      SCOPED_TRACE(variant.label);
+      AcceleratorConfig cfg = lenet_reference_config();
+      cfg.fast_path.layout = variant.layout;
+      cfg.fast_path.fuse_conv_pool = variant.fuse;
+      const Accelerator accel(cfg, *qnet);
+      expect_batched_matches_sequential(accel, codes, {1, 3, 8},
+                                        SimMode::kCycleAccurate);
+    }
   }
 }
 

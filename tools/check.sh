@@ -8,11 +8,11 @@
 # plus a forced-scalar rerun of the SIMD-sensitive suites
 # (RSNN_FORCE_SCALAR=1 pins the vector kernels' scalar fallback to the same
 # bit-identical results), the benchmark's logic tests and runner build
-# (benchmark/ compiles against src/), an RTL-emission smoke, a sanitizer
-# (ASan+UBSan) pass over the serving / pipeline / fault suites, and a
-# ThreadSanitizer pass over the same suites (the serving pool's admission /
-# supervision / retry machinery is lock-heavy; TSan is the tier that
-# catches ordering bugs ASan cannot).
+# (benchmark/ compiles against src/), the A/B driver's tests, an
+# RTL-emission smoke, a sanitizer (ASan+UBSan) pass over the serving /
+# pipeline / fault suites, and a ThreadSanitizer pass over the same suites
+# (the serving pool's admission / supervision / retry machinery is
+# lock-heavy; TSan is the tier that catches ordering bugs ASan cannot).
 #
 # The library targets build with -Wall -Wextra; this script treats any
 # compiler warning as a failure so the targets stay warnings-clean.
@@ -115,6 +115,13 @@ if ! python3 benchmark/run.py --test; then
 fi
 if ! cmake --build .bench_build/benchmark -j "$JOBS" --target rsnn_benchmark; then
   echo "==== [benchmark] FAILED: runner build ===="
+  exit 1
+fi
+
+# 2c. The A/B driver's verdict (tools/bench_ab.py) on synthetic pairs.
+echo "==== [benchmark] A/B driver tests ===="
+if ! python3 tools/test_bench_ab.py; then
+  echo "==== [benchmark] FAILED: A/B driver tests ===="
   exit 1
 fi
 
