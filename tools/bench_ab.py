@@ -3,15 +3,14 @@
 
     python3 tools/bench_ab.py <workload> [rev]
 
-`rev` defaults to `git merge-base HEAD origin/main`. It is extracted with
-`git archive` into .bench_build/ab/<sha>/, and benchmark/run.py runs there
-and in the checkout as 10 alternating pairs: both runs of a pair use the
-same seed, the side that runs first flips every pair, and each run lasts
-BENCHMARK.json's `run_seconds`. For each end-to-end metric the driver prints
-both medians, the parent's IQR and the change's wins/losses/ties. It exits
-non-zero if a run fails or reports "correct": false, or if on images_per_s
-the change loses a majority of the pairs and its median trails the parent's
-by more than both the parent's IQR and 10%.
+`rev` (default: `git merge-base HEAD origin/main`) is extracted with `git
+archive` into .bench_build/ab/<sha>/. benchmark/run.py runs there and in the
+checkout as 10 pairs: one seed per pair, the side that runs first flipped
+every pair, each run BENCHMARK.json's `run_seconds` long. Per end-to-end
+metric it prints both medians, the parent's IQR and the change's
+wins/losses/ties. It exits non-zero if a run fails or is not "correct", or
+if on images_per_s the change loses most pairs and its median trails the
+parent's by more than both the parent's IQR and 10%.
 """
 import argparse
 import json
@@ -27,9 +26,9 @@ GATED = "images_per_s"
 BOUND = 0.10  # the bound of the tiny-network gate this driver replaced
 
 
-def schedule(pairs=PAIRS):
+def schedule():
     """(seed, side that runs first) for each pair."""
-    return [(i + 1, ("parent", "change")[i % 2]) for i in range(pairs)]
+    return [(i + 1, ("parent", "change")[i % 2]) for i in range(PAIRS)]
 
 
 def outcome(returncode, stdout):
@@ -63,7 +62,8 @@ def verdict(pairs):
     s = summarize([p["metrics"][GATED] for p, _ in pairs],
                   [c["metrics"][GATED] for _, c in pairs], "higher")
     gap = s["parent"] - s["change"]
-    if 2 * s["losses"] > len(pairs) and gap > s["iqr"] and gap > BOUND * s["parent"]:
+    lost = 2 * s["losses"] > len(pairs)
+    if lost and gap > s["iqr"] and gap > BOUND * s["parent"]:
         return ["%s: the change lost %d of %d pairs and its median %.4g trails "
                 "%.4g by more than the parent's IQR (%.4g) and %d%%"
                 % (GATED, s["losses"], len(pairs), s["change"], s["parent"],
@@ -72,22 +72,20 @@ def verdict(pairs):
 
 
 def git(*args):
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, text=True,
-                          stdout=subprocess.PIPE).stdout.strip()
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          stdout=subprocess.PIPE).stdout
 
 
 def extract(rev):
     """The tree of `rev` under .bench_build/ab/<sha>/, extracted once."""
-    sha = git("rev-parse", "--verify", rev + "^{commit}")
+    sha = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
     tree = os.path.join(ROOT, ".bench_build", "ab", sha)
     if not os.path.isdir(tree):
-        partial = tree + ".partial"
-        shutil.rmtree(partial, ignore_errors=True)
-        os.makedirs(partial)
-        archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
-                                 stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", partial], input=archive, check=True)
-        os.rename(partial, tree)
+        shutil.rmtree(tree + ".partial", ignore_errors=True)
+        os.makedirs(tree + ".partial")
+        subprocess.run(["tar", "-x", "-C", tree + ".partial"],
+                       input=git("archive", sha), check=True)
+        os.rename(tree + ".partial", tree)
     return sha, tree
 
 
@@ -112,7 +110,8 @@ def main():
         spec = json.load(f)
     if args.workload not in [w["name"] for w in spec["workloads"]]:
         parser.error("unknown workload %r" % args.workload)
-    sha, parent_tree = extract(args.rev or git("merge-base", "HEAD", "origin/main"))
+    rev = args.rev or git("merge-base", "HEAD", "origin/main").decode().strip()
+    sha, parent_tree = extract(rev)
     trees = {"parent": parent_tree, "change": ROOT}
     print("A/B %s: parent %s, change = the checkout, %d pairs of %gs runs"
           % (args.workload, sha[:12], PAIRS, spec["run_seconds"]), flush=True)
@@ -123,27 +122,27 @@ def main():
         pair = {side: run(trees[side], args.workload, seed, spec["run_seconds"])
                 for side in (first, second)}
         pairs.append((pair["parent"], pair["change"]))
-        print("pair %2d  seed %2d  %s first  %s: parent %s, change %s"
+        print("pair %2d  seed %2d  %s first  %s: parent %.6g, change %.6g"
               % (len(pairs), seed, first, GATED,
-                 pair["parent"]["metrics"].get(GATED, "failed"),
-                 pair["change"]["metrics"].get(GATED, "failed")), flush=True)
+                 pair["parent"]["metrics"].get(GATED, float("nan")),
+                 pair["change"]["metrics"].get(GATED, float("nan"))), flush=True)
         if not (pair["parent"]["ok"] and pair["change"]["ok"]):
             break
 
-    reasons = verdict(pairs)
-    if not reasons:
-        print("%-18s %-6s %-7s %14s %14s %12s  W/L/T" % (
-            "metric", "unit", "better", "parent median", "change median",
-            "parent IQR"))
+    row = "%-16s %-5s %-6s %14s %14s %12s  %s"
+    if all(run["ok"] for pair in pairs for run in pair):
+        print(row % ("metric", "unit", "better", "parent median",
+                     "change median", "parent IQR", "W/L/T"))
         for m in spec["end_to_end"]:
             s = summarize([p["metrics"][m["name"]] for p, _ in pairs],
-                          [c["metrics"][m["name"]] for _, c in pairs], m["better"])
-            print("%-18s %-6s %-7s %14.6g %14.6g %12.4g  %d/%d/%d" % (
-                m["name"], m["unit"], m["better"], s["parent"], s["change"],
-                s["iqr"], s["wins"], s["losses"], s["ties"]))
-    for reason in reasons:
-        print("FAIL: " + reason)
-    print("bench_ab: %s" % ("FAIL" if reasons else "PASS"))
+                          [c["metrics"][m["name"]] for _, c in pairs],
+                          m["better"])
+            print(row % (m["name"], m["unit"], m["better"],
+                         "%.6g" % s["parent"], "%.6g" % s["change"],
+                         "%.4g" % s["iqr"],
+                         "%d/%d/%d" % (s["wins"], s["losses"], s["ties"])))
+    reasons = verdict(pairs)
+    print("\n".join(["FAIL: " + r for r in reasons] or ["PASS"]))
     return 1 if reasons else 0
 
 

@@ -1,8 +1,6 @@
 #!/usr/bin/env python3
-"""Tests of tools/bench_ab.py's verdict on synthetic pairs; builds nothing.
-
-    python3 tools/test_bench_ab.py
-"""
+"""Tests of tools/bench_ab.py's verdict on synthetic pairs (no build):
+python3 tools/test_bench_ab.py"""
 import json
 import os
 import sys
