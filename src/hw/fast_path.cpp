@@ -286,11 +286,13 @@ std::int64_t hwc_strip_height(std::int64_t iw, std::int64_t cin,
 /// out_hwcb[oh*ow][B][Cout] (contiguous per image). The input is repacked
 /// CHW -> [row][x][Cin][B] one output-row strip at a time (the strip stays
 /// cache-resident; halo rows between strips are repacked twice). Per output
-/// pixel its [B][Cout] output block accumulates in place with the prepared
+/// pixel an acc[B][Cout] block accumulates with the prepared
 /// [ky][kx][Cin][Cout] weights, so each weight row is applied to every image
 /// while it is hot in cache; zero activations (spike sparsity) are skipped
 /// and the contiguous output-channel loop goes to the SIMD dispatch table.
-/// The block is then finished channel by channel.
+/// The block is finished channel by channel and copied out. (Accumulating
+/// in the output block itself read 20% slower per LeNet-5 batch of 32 in
+/// one build and equal in another, so the scratch block stays.)
 template <int kB, class W>
 void conv_hwc_batched(const QConv2d& conv, const W* in, std::int64_t ih,
                       std::int64_t iw, std::int64_t oh, std::int64_t ow,
@@ -305,6 +307,7 @@ void conv_hwc_batched(const QConv2d& conv, const W* in, std::int64_t ih,
       hwc_strip_height(iw, cin, B, sizeof(W), k, str, oh);
   const std::int64_t rows_cap = std::min(ih, (strip_oh - 1) * str + k);
   W* tile = arena.alloc<W>(rows_cap * iw * cin * B);
+  W* acc = arena.alloc<W>(B * cout);
 
   for (std::int64_t oy0 = 0; oy0 < oh; oy0 += strip_oh) {
     const std::int64_t oy1 = std::min(oh, oy0 + strip_oh);
@@ -321,7 +324,6 @@ void conv_hwc_batched(const QConv2d& conv, const W* in, std::int64_t ih,
     }
     for (std::int64_t oy = oy0; oy < oy1; ++oy) {
       for (std::int64_t ox = 0; ox < ow; ++ox) {
-        W* acc = out_hwcb + (oy * ow + ox) * B * cout;
         std::fill(acc, acc + B * cout, W{0});
         for (std::int64_t ky = 0; ky < k; ++ky) {
           const std::int64_t iy = oy * str + ky - pad;
@@ -347,6 +349,8 @@ void conv_hwc_batched(const QConv2d& conv, const W* in, std::int64_t ih,
         }
         for (std::int64_t oc = 0; oc < cout; ++oc)
           finish_channel(conv, oc, time_bits, acc + oc, B, cout);
+        std::memcpy(out_hwcb + (oy * ow + ox) * B * cout, acc,
+                    static_cast<std::size_t>(B * cout) * sizeof(W));
       }
     }
   }
